@@ -2,8 +2,8 @@
 //!
 //! The conditions of general (p)c-tables (§2, §8) compare variables with
 //! *arbitrary* constants and with each other — not just with `true` /
-//! `false` — so they cannot go through [`crate::compile_condition`]
-//! directly. [`FdEncoding`] closes the gap with the standard one-hot
+//! `false` (boolean tables are the special case of `{false, true}`
+//! domains). [`FdEncoding`] compiles them with the standard one-hot
 //! (direct) encoding from knowledge compilation: a variable `x` with
 //! finite domain `{v₁, …, v_d}` becomes a block of `d` Boolean
 //! *indicator* variables, indicator `i` meaning `x = vᵢ`, guarded by the
@@ -441,38 +441,6 @@ mod tests {
         ]);
         let f = enc.compile(&mut m, &c).unwrap();
         assert!((enc.wmc(&mut m, f, &w).unwrap() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn boolean_domains_match_boolean_compiler() {
-        use crate::compile::{compile_condition, var_order};
-        let (a, b) = (Var(0), Var(1));
-        let c = Condition::or([
-            Condition::bvar(a),
-            Condition::and([Condition::nbvar(a), Condition::bvar(b)]),
-        ]);
-        // Boolean path.
-        let mut m1 = BddManager::new();
-        let order = var_order(&c);
-        let f1 = compile_condition(&mut m1, &c, &order).unwrap();
-        let p1 = m1.wmc(f1, &[(0.5, 0.5), (0.75, 0.25)]).unwrap();
-        // Finite-domain path over {false, true}.
-        let bools = vec![Value::Bool(false), Value::Bool(true)];
-        let mut m2 = BddManager::new();
-        let enc = FdEncoding::new(&mut m2, [(a, bools.clone()), (b, bools)]).unwrap();
-        let f2 = enc.compile(&mut m2, &c).unwrap();
-        let w = BTreeMap::from([
-            (
-                a,
-                BTreeMap::from([(Value::Bool(false), 0.5f64), (Value::Bool(true), 0.5)]),
-            ),
-            (
-                b,
-                BTreeMap::from([(Value::Bool(false), 0.75f64), (Value::Bool(true), 0.25)]),
-            ),
-        ]);
-        let p2 = enc.wmc(&mut m2, f2, &w).unwrap();
-        assert!((p1 - p2).abs() < 1e-12, "{p1} vs {p2}");
     }
 
     #[test]

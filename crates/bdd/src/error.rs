@@ -8,14 +8,8 @@ use ipdb_rel::Value;
 /// Errors raised when compiling conditions to BDDs or counting models.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BddError {
-    /// The condition contains an atom that is not a boolean literal
-    /// (only *boolean* conditions — variables compared with boolean
-    /// constants — compile directly through [`crate::compile_condition`];
-    /// arbitrary finite-domain conditions go through
-    /// [`crate::FdEncoding`] instead).
-    NonBooleanAtom(String),
-    /// The condition mentions a variable missing from the compilation
-    /// order (or from the finite-domain encoding).
+    /// The condition mentions a variable missing from the finite-domain
+    /// encoding.
     UnknownVar(Var),
     /// A model-counting call met a decision node whose variable index
     /// lies outside the declared variable range (`weights.len()` for
@@ -50,10 +44,7 @@ pub enum BddError {
 impl fmt::Display for BddError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BddError::NonBooleanAtom(s) => {
-                write!(f, "condition atom is not a boolean literal: {s}")
-            }
-            BddError::UnknownVar(v) => write!(f, "variable {v} missing from the BDD order"),
+            BddError::UnknownVar(v) => write!(f, "variable {v} missing from the BDD encoding"),
             BddError::VarOutOfRange { var, nvars } => write!(
                 f,
                 "BDD node decides variable index {var}, but the caller declared \
@@ -83,9 +74,6 @@ mod tests {
 
     #[test]
     fn display() {
-        assert!(BddError::NonBooleanAtom("x0=3".into())
-            .to_string()
-            .contains("x0=3"));
         assert!(BddError::UnknownVar(Var(2)).to_string().contains("x2"));
         let e = BddError::VarOutOfRange { var: 7, nvars: 3 };
         assert!(e.to_string().contains('7') && e.to_string().contains('3'));

@@ -16,32 +16,28 @@
 //!   exact satisfying-assignment counting.
 //! * [`Weight`] — the numeric abstraction for WMC (implemented here for
 //!   `f64`; `ipdb-prob` adds exact rationals).
-//! * [`compile`] — translates *boolean* `ipdb-logic` conditions (the
-//!   conditions of boolean c-tables / boolean pc-tables, §3/§8) into
-//!   BDDs.
-//! * [`encode`] — the finite-domain layer: [`FdEncoding`] one-hot-encodes
-//!   multi-valued variables into indicator blocks (with the exactly-one
+//! * [`encode`] — condition compilation: [`FdEncoding`] one-hot-encodes
+//!   finite-domain variables into indicator blocks (with the exactly-one
 //!   domain-consistency constraint), so *arbitrary* `Eq`/`Neq` conditions
-//!   compile, and its domain-aware `wmc` consumes per-variable
+//!   compile — boolean c-/pc-table conditions (§3/§8) are the case of
+//!   `{false, true}` domains — and its domain-aware `wmc` consumes per-variable
 //!   `(value → weight)` maps. This is what lets `ipdb-prob` answer
 //!   general pc-table queries without enumerating the §8 valuation
 //!   product space.
 //!
 //! The probability engines in `ipdb-prob::answering` (naive enumeration,
-//! Shannon expansion, boolean BDD+WMC, finite-domain BDD+WMC) are checked
+//! Shannon expansion, finite-domain BDD+WMC) are checked
 //! against each other; the benches in `ipdb-bench` measure where the BDD
 //! pays off.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compile;
 pub mod encode;
 pub mod error;
 pub mod manager;
 pub mod weight;
 
-pub use compile::{compile_condition, var_order};
 pub use encode::FdEncoding;
 pub use error::BddError;
 pub use manager::{BddManager, BddStats, NodeRef, FALSE, TRUE};

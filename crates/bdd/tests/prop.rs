@@ -1,14 +1,20 @@
 //! Property tests: BDD compilation agrees with condition semantics, the
 //! counting engines agree with brute force, and the finite-domain
 //! encoding agrees with Shannon-style enumeration.
+//!
+//! The manager-level properties (`eval`, `sat_count`, `wmc`,
+//! `restrict`) run on boolean conditions compiled through the one-hot
+//! encoding over `{false, true}` domains: two indicators per variable,
+//! with the exactly-one constraint conjoined wherever raw assignments
+//! are counted.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ipdb_bdd::{compile_condition, var_order, BddManager, FdEncoding};
+use ipdb_bdd::{BddManager, FdEncoding, NodeRef};
 use ipdb_logic::strategies::{arb_boolean_condition, arb_condition};
-use ipdb_logic::{sat, Valuation, Var};
+use ipdb_logic::{sat, Condition, Valuation, Var};
 use ipdb_rel::{Domain, Value};
 
 const NVARS: u32 = 4;
@@ -17,45 +23,54 @@ fn all_assignments(n: u32) -> impl Iterator<Item = Vec<bool>> {
     (0..(1u32 << n)).map(move |bits| (0..n).map(|i| (bits >> i) & 1 == 1).collect())
 }
 
+/// Compiles a boolean condition over `{false, true}` domains; returns
+/// the encoding, the condition's BDD, and the boolean domains.
+fn compile_boolean(
+    m: &mut BddManager,
+    c: &Condition,
+) -> (FdEncoding, NodeRef, BTreeMap<Var, Domain>) {
+    let bools = vec![Value::Bool(false), Value::Bool(true)];
+    let enc = FdEncoding::new(m, c.vars().into_iter().map(|v| (v, bools.clone()))).unwrap();
+    let f = enc.compile(m, c).unwrap();
+    let doms = c.vars().into_iter().map(|v| (v, Domain::bools())).collect();
+    (enc, f, doms)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn compiled_bdd_agrees_with_eval(c in arb_boolean_condition(NVARS, 3)) {
-        let order = var_order(&c);
         let mut m = BddManager::new();
-        let f = compile_condition(&mut m, &c, &order).unwrap();
-        let n = order.len() as u32;
-        for asg in all_assignments(n) {
-            let nu: Valuation = order
-                .iter()
-                .map(|(v, &i)| (*v, Value::from(asg[i as usize])))
-                .collect();
-            prop_assert_eq!(m.eval(f, &asg), c.eval(&nu).unwrap());
+        let (enc, f, doms) = compile_boolean(&mut m, &c);
+        for nu in Valuation::all_over(&doms) {
+            let asg = enc.encode_valuation(&nu).unwrap();
+            prop_assert_eq!(m.eval(f, &asg), c.eval(&nu).unwrap(), "valuation {}", nu);
         }
     }
 
+    /// Over raw indicator assignments, the consistent models of `f` are
+    /// exactly the condition's models.
     #[test]
     fn bdd_sat_count_matches_logic_count(c in arb_boolean_condition(NVARS, 3)) {
-        let order = var_order(&c);
         let mut m = BddManager::new();
-        let f = compile_condition(&mut m, &c, &order).unwrap();
-        let doms: BTreeMap<Var, Domain> = order.keys().map(|v| (*v, Domain::bools())).collect();
+        let (enc, f, doms) = compile_boolean(&mut m, &c);
+        let g = m.and(f, enc.consistency());
         prop_assert_eq!(
-            m.sat_count(f, order.len() as u32).unwrap(),
+            m.sat_count(g, enc.nvars()).unwrap(),
             sat::count_models(&c, &doms).unwrap()
         );
     }
 
     #[test]
     fn wmc_uniform_weights_match_sat_count(c in arb_boolean_condition(NVARS, 3)) {
-        let order = var_order(&c);
         let mut m = BddManager::new();
-        let f = compile_condition(&mut m, &c, &order).unwrap();
-        let n = order.len();
-        let weights = vec![(0.5f64, 0.5f64); n];
-        let p = m.wmc(f, &weights).unwrap();
-        let frac = m.sat_count(f, n as u32).unwrap() as f64 / (1u128 << n) as f64;
+        let (enc, f, _) = compile_boolean(&mut m, &c);
+        let g = m.and(f, enc.consistency());
+        let n = enc.nvars();
+        let weights = vec![(0.5f64, 0.5f64); n as usize];
+        let p = m.wmc(g, &weights).unwrap();
+        let frac = m.sat_count(g, n).unwrap() as f64 / (1u128 << n) as f64;
         prop_assert!((p - frac).abs() < 1e-12);
     }
 
@@ -105,13 +120,12 @@ proptest! {
 
     #[test]
     fn restrict_agrees_with_semantics(c in arb_boolean_condition(2, 3)) {
-        let order = var_order(&c);
-        if order.is_empty() {
+        let mut m = BddManager::new();
+        let (enc, f, _) = compile_boolean(&mut m, &c);
+        let n = enc.nvars();
+        if n == 0 {
             return Ok(());
         }
-        let mut m = BddManager::new();
-        let f = compile_condition(&mut m, &c, &order).unwrap();
-        let n = order.len() as u32;
         // Restrict BDD index 0 to true; must agree with eval forcing it.
         let g = m.restrict(f, 0, true);
         for asg in all_assignments(n) {

@@ -24,7 +24,7 @@ use ipdb_bench::{
     random_ctable, skewed_instance, ENGINE_PRODUCT_HEAVY as PRODUCT_HEAVY,
     ENGINE_PRODUCT_HEAVY_PUSHED as PRODUCT_HEAVY_PUSHED,
 };
-use ipdb_engine::{Backend, Engine};
+use ipdb_engine::Engine;
 
 fn bench_instances(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_instance");
@@ -38,21 +38,19 @@ fn bench_instances(c: &mut Criterion) {
     let pushed_stmt = Engine { optimize: false }
         .prepare_text(PRODUCT_HEAVY_PUSHED, 2)
         .expect("well-typed");
-    let naive = stmt.naive_query();
-    let pushed = pushed_stmt.query();
-    let join = stmt.query();
     for rows in [16usize, 64, 256] {
         let i = skewed_instance(rows);
-        assert_eq!(i.run(naive).unwrap(), i.run(join).unwrap());
-        assert_eq!(i.run(pushed).unwrap(), i.run(join).unwrap());
+        let join = stmt.execute(&i).unwrap();
+        assert_eq!(stmt.execute_naive(&i).unwrap(), join);
+        assert_eq!(pushed_stmt.execute(&i).unwrap(), join);
         group.bench_with_input(BenchmarkId::new("naive", rows), &i, |b, i| {
-            b.iter(|| i.run(naive).unwrap())
+            b.iter(|| stmt.execute_naive(i).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("pushdown", rows), &i, |b, i| {
-            b.iter(|| i.run(pushed).unwrap())
+            b.iter(|| pushed_stmt.execute(i).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("join", rows), &i, |b, i| {
-            b.iter(|| i.run(join).unwrap())
+            b.iter(|| stmt.execute(i).unwrap())
         });
     }
     group.finish();
@@ -67,15 +65,13 @@ fn bench_ctables(c: &mut Criterion) {
     let stmt = Engine::new()
         .prepare_text(PRODUCT_HEAVY, 2)
         .expect("well-typed");
-    let naive = stmt.naive_query();
-    let optimized = stmt.query();
     for rows in [4usize, 16, 64] {
         let t = random_ctable(rows, 2, 6, 4, 0xE9 + rows as u64);
         group.bench_with_input(BenchmarkId::new("naive", rows), &t, |b, t| {
-            b.iter(|| t.run(naive).unwrap())
+            b.iter(|| stmt.execute_naive(t).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("join", rows), &t, |b, t| {
-            b.iter(|| t.run(optimized).unwrap())
+            b.iter(|| stmt.execute(t).unwrap())
         });
     }
     group.finish();

@@ -1,7 +1,7 @@
 //! E16–E17 — the probability engines for `P[t ∈ answer]`:
 //! world enumeration vs Shannon expansion of the event expression vs
-//! ROBDD weighted model counting (boolean-literal and finite-domain
-//! one-hot compilations), by variable count — plus the full
+//! ROBDD weighted model counting (the finite-domain one-hot
+//! compilation, exact and in `f64`), by variable count — plus the full
 //! answer-distribution pipeline (`answer_dist_enum` vs the BDD fast
 //! path) that `bench_smoke` gates in CI.
 //!
@@ -18,8 +18,8 @@ use ipdb_bench::{
     prob_smoke_pctable, random_boolean_pctable, random_boolean_pctable_f64, random_pctable,
     PROB_SMOKE_QUERY,
 };
-use ipdb_engine::Engine;
-use ipdb_prob::answering::{tuple_prob_bdd, tuple_prob_enum, tuple_prob_shannon};
+use ipdb_engine::{Engine, RunOpts};
+use ipdb_prob::answering::{tuple_prob_enum, tuple_prob_shannon};
 use ipdb_rel::Tuple;
 
 fn probe() -> Tuple {
@@ -42,16 +42,13 @@ fn bench_three_engines(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("shannon", nvars), &bpc, |b, t| {
             b.iter(|| tuple_prob_shannon(t.as_pctable(), &probe()).unwrap())
         });
+        // The finite-domain one-hot compilation (two indicators per
+        // boolean variable), exact and in floating point.
         group.bench_with_input(BenchmarkId::new("bdd_rat", nvars), &bpc, |b, t| {
-            b.iter(|| tuple_prob_bdd(t, &probe()).unwrap())
+            b.iter(|| t.as_pctable().tuple_prob_bdd(&probe()).unwrap())
         });
         let bpc_f = random_boolean_pctable_f64(8, 1, nvars, 0x77 + nvars as u64);
         group.bench_with_input(BenchmarkId::new("bdd_f64", nvars), &bpc_f, |b, t| {
-            b.iter(|| tuple_prob_bdd(t, &probe()).unwrap())
-        });
-        // The finite-domain one-hot compilation on the same tables (two
-        // indicators per boolean variable instead of one literal).
-        group.bench_with_input(BenchmarkId::new("bdd_onehot", nvars), &bpc, |b, t| {
             b.iter(|| t.as_pctable().tuple_prob_bdd(&probe()).unwrap())
         });
     }
@@ -75,7 +72,7 @@ fn bench_answer_dist(c: &mut Criterion) {
             b.iter(|| stmt.answer_dist_enum(pc).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("bdd_wmc", nvars), &pc, |b, pc| {
-            b.iter(|| stmt.answer_dist(pc).unwrap())
+            b.iter(|| stmt.answer_dist(pc, &RunOpts::default()).unwrap().0)
         });
     }
     group.finish();

@@ -32,7 +32,7 @@ use ipdb_bench::{
     ENGINE_PRODUCT_HEAVY_PUSHED as PRODUCT_HEAVY_PUSHED, PROB_SMOKE_QUERY,
 };
 use ipdb_engine::{
-    Backend, Catalog, Engine, ExecConfig, PlanCache, Request, Server, ServerConfig, SnapshotCatalog,
+    Catalog, Engine, ExecConfig, PlanCache, Request, RunOpts, Server, ServerConfig, SnapshotCatalog,
 };
 use ipdb_rel::Instance;
 
@@ -68,7 +68,7 @@ fn main() {
     // Plan-quality series: naive σ(×) vs pushdown vs hash join, all
     // three pinned to the row-at-a-time evaluator so the ratios keep
     // measuring the *plans* (the columnar/morsel executor behind
-    // `Instance::run` has its own scaling series below, and it
+    // `Prepared::execute` has its own scaling series below, and it
     // compresses these gaps by vectorizing the naive walk too).
     let i = skewed_instance(256);
     assert_eq!(naive.eval(&i).unwrap(), join.eval(&i).unwrap());
@@ -85,10 +85,10 @@ fn main() {
 
     let t = random_ctable(64, 2, 6, 4, 0xE9 + 64);
     let ct_naive = time_ns(|| {
-        t.run(naive).unwrap();
+        stmt.execute_naive(&t).unwrap();
     });
     let ct_join = time_ns(|| {
-        t.run(join).unwrap();
+        stmt.execute(&t).unwrap();
     });
 
     // Pc-table probability series: the answer distribution of the smoke
@@ -102,7 +102,7 @@ fn main() {
         .prepare_text(PROB_SMOKE_QUERY, 1)
         .expect("well-typed");
     assert_eq!(
-        pstmt.answer_dist(&pc).unwrap(),
+        pstmt.answer_dist(&pc, &RunOpts::default()).unwrap().0,
         pstmt.answer_dist_enum(&pc).unwrap(),
         "BDD and enumeration paths must produce the same distribution"
     );
@@ -110,7 +110,7 @@ fn main() {
         pstmt.answer_dist_enum(&pc).unwrap();
     });
     let prob_bdd = time_ns(|| {
-        pstmt.answer_dist(&pc).unwrap();
+        pstmt.answer_dist(&pc, &RunOpts::default()).unwrap();
     });
 
     // Named-relation catalog series: the 3-relation chain join
@@ -130,14 +130,14 @@ fn main() {
     );
     let chain_cat = random_chain_catalog(CHAIN_ROWS, 16, 0xCA7);
     assert_eq!(
-        chain_stmt.execute_catalog(&chain_cat).unwrap(),
-        chain_stmt.execute_catalog_naive(&chain_cat).unwrap()
+        chain_stmt.execute(&chain_cat).unwrap(),
+        chain_stmt.execute_naive(&chain_cat).unwrap()
     );
     let chain_naive = time_ns(|| {
-        chain_stmt.execute_catalog_naive(&chain_cat).unwrap();
+        chain_stmt.execute_naive(&chain_cat).unwrap();
     });
     let chain_join = time_ns(|| {
-        chain_stmt.execute_catalog(&chain_cat).unwrap();
+        chain_stmt.execute(&chain_cat).unwrap();
     });
 
     // Columnar / morsel-parallel series: an asymmetric hash join — a
@@ -176,15 +176,11 @@ fn main() {
     // pushed-down selection drop exactly k ∈ {0, 1, 2}.
     assert_eq!(row_result.len(), PAR_BUILD - 3);
     assert_eq!(
-        par_stmt
-            .execute_catalog_with(&par_cat, &serial_cfg)
-            .unwrap(),
+        par_stmt.execute_catalog_cfg(&par_cat, &serial_cfg).unwrap(),
         row_result
     );
     assert_eq!(
-        par_stmt
-            .execute_catalog_with(&par_cat, &fanout_cfg)
-            .unwrap(),
+        par_stmt.execute_catalog_cfg(&par_cat, &fanout_cfg).unwrap(),
         row_result
     );
     // This series asserts a *scaling* floor, so it times by interleaved
@@ -220,14 +216,10 @@ fn main() {
                 par_stmt.query().eval_catalog(&par_map).unwrap();
             }));
             columnar = columnar.min(once(&mut || {
-                par_stmt
-                    .execute_catalog_with(&par_cat, &serial_cfg)
-                    .unwrap();
+                par_stmt.execute_catalog_cfg(&par_cat, &serial_cfg).unwrap();
             }));
             parallel = parallel.min(once(&mut || {
-                par_stmt
-                    .execute_catalog_with(&par_cat, &fanout_cfg)
-                    .unwrap();
+                par_stmt.execute_catalog_cfg(&par_cat, &fanout_cfg).unwrap();
             }));
         }
         (par_row, par_columnar, par_parallel) = (row, columnar, parallel);
@@ -265,11 +257,11 @@ fn main() {
         for _ in 0..16 {
             ipdb_obs::set_enabled(false);
             off = off.min(once(&mut || {
-                par_stmt.execute_catalog_with(&par_cat, &cfg_off).unwrap();
+                par_stmt.execute_catalog_cfg(&par_cat, &cfg_off).unwrap();
             }));
             ipdb_obs::set_enabled(true);
             on = on.min(once(&mut || {
-                par_stmt.execute_catalog_with(&par_cat, &cfg_on).unwrap();
+                par_stmt.execute_catalog_cfg(&par_cat, &cfg_on).unwrap();
             }));
             ipdb_obs::set_enabled(false);
         }
@@ -289,9 +281,12 @@ fn main() {
     // report: the identical relation, the exact root cardinality, and
     // per-operator exclusive times that sum back to the root's
     // inclusive time, all inside the measured wall-clock total.
-    let (analyzed_out, par_report) = par_stmt
-        .execute_catalog_analyzed_with(&par_cat, &cfg_off)
-        .unwrap();
+    let traced = RunOpts {
+        exec: cfg_off.clone(),
+        analyze: true,
+    };
+    let (analyzed_out, par_report) = par_stmt.run(&par_cat, &traced).unwrap();
+    let par_report = par_report.expect("analyze was requested");
     assert_eq!(analyzed_out, row_result, "analyzed run must match plain");
     assert_eq!(par_report.root.rows_out, (PAR_BUILD - 3) as u64);
     assert_eq!(
@@ -310,11 +305,11 @@ fn main() {
     let chain_pc = chain_pc_catalog(CHAIN_VARS_PER_REL, 4, 0xBDD2);
     assert_eq!(
         chain_stmt.answer_dist_catalog(&chain_pc).unwrap(),
-        chain_stmt.answer_dist_catalog_enum(&chain_pc).unwrap(),
+        chain_stmt.answer_dist_enum(&chain_pc).unwrap(),
         "catalog BDD and enumeration paths must produce the same distribution"
     );
     let chain_prob_enum = time_ns(|| {
-        chain_stmt.answer_dist_catalog_enum(&chain_pc).unwrap();
+        chain_stmt.answer_dist_enum(&chain_pc).unwrap();
     });
     let chain_prob_bdd = time_ns(|| {
         chain_stmt.answer_dist_catalog(&chain_pc).unwrap();
@@ -326,7 +321,10 @@ fn main() {
     // (unique-table hits) and apply-cache memoization are mandatory for
     // the measured speedup, so zeros here mean the counters are wired
     // wrong, not that the workload is small.
-    let (chain_dist, chain_report) = chain_stmt.answer_dist_catalog_analyzed(&chain_pc).unwrap();
+    let (chain_dist, chain_report) = chain_stmt
+        .answer_dist(&chain_pc, &RunOpts::analyzed())
+        .unwrap();
+    let chain_report = chain_report.expect("analyze was requested");
     assert_eq!(
         chain_dist,
         chain_stmt.answer_dist_catalog(&chain_pc).unwrap(),
@@ -371,8 +369,8 @@ fn main() {
             let fresh = serve_engine.prepare_text_schema(text, &serve_sch).unwrap();
             let cached = cache.prepare_text(&serve_engine, text, &serve_sch).unwrap();
             assert_eq!(
-                fresh.execute_catalog(&cat).unwrap(),
-                cached.execute_catalog(&cat).unwrap(),
+                fresh.execute(&cat).unwrap(),
+                cached.execute(&cat).unwrap(),
                 "cached plan diverged on {text}"
             );
         }
@@ -502,10 +500,10 @@ fn main() {
             before = before.min(once(&mut || {
                 // The per-query deep clone the old leaf execution paid.
                 std::hint::black_box(leaf_cat.get("C").unwrap().clone());
-                leaf_stmt.execute_catalog(&leaf_cat).unwrap();
+                leaf_stmt.execute(&leaf_cat).unwrap();
             }));
             after = after.min(once(&mut || {
-                leaf_stmt.execute_catalog(&leaf_cat).unwrap();
+                leaf_stmt.execute(&leaf_cat).unwrap();
             }));
         }
         (leaf_before, leaf_after) = (before, after);
@@ -525,8 +523,10 @@ fn main() {
     // alongside the timing figures.
     ipdb_obs::reset();
     ipdb_obs::set_enabled(true);
-    par_stmt.execute_catalog_with(&par_cat, &cfg_on).unwrap();
-    chain_stmt.answer_dist_catalog_analyzed(&chain_pc).unwrap();
+    par_stmt.execute_catalog_cfg(&par_cat, &cfg_on).unwrap();
+    chain_stmt
+        .answer_dist(&chain_pc, &RunOpts::analyzed())
+        .unwrap();
     {
         let server =
             Server::<Instance>::start(serve_catalog(SERVE_ROWS), ServerConfig::with_threads(2));

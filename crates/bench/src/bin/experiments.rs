@@ -10,7 +10,7 @@ use std::time::Instant;
 use ipdb_bench::{random_boolean_pctable, random_idb, random_pctable};
 use ipdb_core::{completion, finite_complete, nonclosure, ra_complete};
 use ipdb_logic::{Condition, Var, VarGen};
-use ipdb_prob::answering::{tuple_prob_bdd, tuple_prob_enum, tuple_prob_shannon};
+use ipdb_prob::answering::{tuple_prob_enum, tuple_prob_shannon};
 use ipdb_prob::extensional::{
     exact_prob, forced_extensional, lifted_prob, BoolCq, CqArg, CqAtom, ProbDb,
 };
@@ -487,7 +487,7 @@ fn e17_theorem9() {
     let p2 = tuple_prob_shannon(bpc.as_pctable(), &probe).unwrap();
     let d2 = t.elapsed();
     let t = Instant::now();
-    let p3 = tuple_prob_bdd(&bpc, &probe).unwrap();
+    let p3 = bpc.as_pctable().tuple_prob_bdd(&probe).unwrap();
     let d3 = t.elapsed();
     println!(
         "  10-var boolean pc-table, P[t] = {p1}: enum {d1:.2?}, shannon {d2:.2?}, bdd {d3:.2?}"

@@ -4,7 +4,8 @@
 //! [`Backend`] abstracts "something a [`Query`] can run against". The
 //! three models the paper relates all implement it:
 //!
-//! * [`Instance`] — conventional evaluation (§2);
+//! * [`Instance`] — conventional evaluation (§2), through the columnar
+//!   morsel executor ([`crate::morsel`]);
 //! * [`CTable`] — the c-table algebra `q̄` of Theorem 4, with the output
 //!   passed through [`CTable::simplified`] so composed row conditions
 //!   are re-folded;
@@ -12,12 +13,18 @@
 //!   with the variable distributions carried along (and the same
 //!   condition simplification applied).
 //!
+//! Each backend family has **one** evaluator (the c-table one below is
+//! shared by c- and pc-tables), generic over the tracer of
+//! [`crate::report`], and each backend has one required evaluation
+//! method, [`Backend::run`], taking an [`Input`] and [`RunOpts`].
+//!
 //! [`Catalog`] generalizes the input side to the §2 footnote's
-//! "arbitrary relational schemas": a `name → relation` map, executed by
-//! [`Backend::run_catalog`]. The reserved names `V`/`W` make the
-//! classic one- and two-relation contexts ordinary catalogs, and a
-//! pc-table catalog shares **one variable namespace** across all of its
-//! relations — a variable appearing in two relations is the *same*
+//! "arbitrary relational schemas": a `name → relation` map. The reserved
+//! names `V`/`W` make the classic one- and two-relation contexts
+//! ordinary catalogs — a single relation is [`Input::Single`], which
+//! resolves names exactly as the `{V}` catalog does — and a pc-table
+//! catalog shares **one variable namespace** across all of its
+//! relations: a variable appearing in two relations is the *same*
 //! random variable (its distributions must agree,
 //! [`ProbError::ConflictingDistribution`] otherwise), which is how
 //! cross-relation correlation is expressed.
@@ -38,7 +45,7 @@ use ipdb_tables::{CTable, TableError};
 
 use crate::error::EngineError;
 use crate::morsel::ExecConfig;
-use crate::report::{query_label, OpReport};
+use crate::report::{Analyze, NoTrace, OpReport, OpStats, Tracer};
 
 /// A named collection of relations of one backend type — the execution
 /// input for queries over a multi-relation [`Schema`].
@@ -111,12 +118,6 @@ impl<B> Catalog<B> {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.rels.keys().map(String::as_str)
     }
-
-    /// The underlying name → relation map (crate-internal: executors
-    /// borrow it wholesale instead of going through `get` per name).
-    pub(crate) fn rels(&self) -> &BTreeMap<String, Arc<B>> {
-        &self.rels
-    }
 }
 
 /// Cloning shares every relation (an `Arc` bump per entry, no relation
@@ -156,17 +157,100 @@ impl<B: Backend> Catalog<B> {
     }
 }
 
-/// The lookup error for a name a catalog (or single-table context) does
-/// not bind, lifted into the table layer (one shared rule —
-/// [`RelError::missing_relation`]).
-fn missing_rel(name: &str) -> TableError {
-    TableError::Rel(RelError::missing_relation(name))
+/// The borrowed execution input: one relation bound as the reserved
+/// input `V`, or a named [`Catalog`]. Both resolve relation names
+/// through [`Input::get`], so a single relation behaves exactly like
+/// the `{V}` catalog.
+#[derive(Debug)]
+pub enum Input<'a, B> {
+    /// A single relation, bound as `V`.
+    Single(&'a B),
+    /// A named catalog (`Input`/`Second` resolve as `V`/`W`).
+    Catalog(&'a Catalog<B>),
 }
 
-/// The engine's c-table executor: the same `q̄` operators as
-/// [`CTable::eval_query`], but resolving relation leaves through a
-/// name-lookup context and passing every intermediate result through
-/// [`CTable::simplified`] + [`CTable::without_false_rows`].
+impl<B> Clone for Input<'_, B> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<B> Copy for Input<'_, B> {}
+
+impl<'a, B> Input<'a, B> {
+    /// The relation bound to `name` ([`RelError::missing_relation`]
+    /// otherwise: `UnknownRelation`, or `NoSecondInput` for `W`).
+    pub fn get(self, name: &str) -> Result<&'a B, RelError> {
+        match self {
+            Input::Single(b) if name == Schema::INPUT => Some(b),
+            Input::Single(_) => None,
+            Input::Catalog(cat) => cat.get(name),
+        }
+        .ok_or_else(|| RelError::missing_relation(name))
+    }
+}
+
+/// A value [`crate::Prepared`] can execute against: `&B` (bound as `V`)
+/// or `&Catalog<B>`. The associated backend type is what lets
+/// `stmt.execute(&table)` and `stmt.execute(&catalog)` both infer.
+pub trait Source<'a> {
+    /// The backend the input's relations belong to.
+    type Backend: Backend + 'a;
+
+    /// The borrowed input.
+    fn input(self) -> Input<'a, Self::Backend>;
+}
+
+impl<'a, B: Backend> Source<'a> for &'a B {
+    type Backend = B;
+
+    fn input(self) -> Input<'a, B> {
+        Input::Single(self)
+    }
+}
+
+impl<'a, B: Backend> Source<'a> for &'a Catalog<B> {
+    type Backend = B;
+
+    fn input(self) -> Input<'a, B> {
+        Input::Catalog(self)
+    }
+}
+
+/// How to run a query: the morsel executor's configuration (ignored by
+/// the c-/pc-table backends except for its `metrics` flag) and whether
+/// to trace it (`EXPLAIN ANALYZE`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunOpts {
+    /// Executor configuration; defaults to [`ExecConfig::from_env`].
+    pub exec: ExecConfig,
+    /// Build a per-operator report alongside the output.
+    pub analyze: bool,
+}
+
+impl RunOpts {
+    /// Untraced execution under `exec`.
+    pub fn with(exec: ExecConfig) -> RunOpts {
+        RunOpts {
+            exec,
+            analyze: false,
+        }
+    }
+
+    /// Traced execution (`EXPLAIN ANALYZE`) under the default config.
+    pub fn analyzed() -> RunOpts {
+        RunOpts {
+            analyze: true,
+            ..RunOpts::default()
+        }
+    }
+}
+
+/// The c-table evaluator shared by the c- and pc-table backends: the
+/// same `q̄` operators as [`CTable::eval_query`], but resolving leaves
+/// through an [`Input`] (`table` maps a relation to its c-table) and
+/// passing every operator output through [`CTable::simplified`] +
+/// [`CTable::without_false_rows`].
 ///
 /// Pruning between operators is sound — a row whose condition folds to
 /// `false` contributes to no possible world, so `ν(T)` is unchanged for
@@ -174,155 +258,99 @@ fn missing_rel(name: &str) -> TableError {
 /// is what lets the optimizer's selection pushdown actually shrink a
 /// product: ground rows that fail a pushed-down selection drop out of
 /// the factor instead of entering the cross product carrying a `false`
-/// condition.
+/// condition. The tracer's hook sees how many rows each operator pruned.
 ///
 /// Leaves come back **borrowed** (`Cow::Borrowed` straight out of the
-/// lookup context) — a query touching a 100k-row relation no longer
-/// deep-clones it per request; only operator outputs are owned. The
-/// sole remaining copy is the top-level `into_owned` a caller pays when
-/// the *whole* query is a bare leaf.
-fn eval_ctable_pruned<'a, F>(lookup: &F, q: &Query) -> Result<Cow<'a, CTable>, TableError>
-where
-    F: Fn(&str) -> Result<&'a CTable, TableError>,
-{
-    let prune = |x: CTable| Cow::Owned(x.simplified().without_false_rows());
-    Ok(match q {
+/// input) — a query touching a 100k-row relation does not deep-clone it
+/// per request; only operator outputs are owned. The sole remaining
+/// copy is the top-level `into_owned` a caller pays when the *whole*
+/// query is a bare leaf.
+fn eval_ctable<'a, B, T: Tracer>(
+    input: Input<'a, B>,
+    table: fn(&B) -> &CTable,
+    metrics: bool,
+    q: &Query,
+) -> Result<(Cow<'a, CTable>, T::Report), TableError> {
+    let t0 = T::start();
+    let eval = |q: &Query| eval_ctable::<B, T>(input, table, metrics, q);
+    let leaf = |name: &str| -> Result<_, TableError> { Ok(Cow::Borrowed(table(input.get(name)?))) };
+    let mut rows_pruned = 0;
+    let mut prune = |raw: CTable| {
+        let before = raw.rows().len();
+        let out = raw.simplified().without_false_rows();
+        rows_pruned = (before - out.rows().len()) as u64;
+        Cow::Owned(out)
+    };
+    let (out, children) = match q {
         // Leaves carry no freshly-composed conditions, so pruning them
         // would only re-simplify the (possibly shared) input once per
         // occurrence; operators below prune their own outputs.
-        Query::Input => Cow::Borrowed(lookup(Schema::INPUT)?),
-        Query::Second => Cow::Borrowed(lookup(Schema::SECOND)?),
-        Query::Rel(name) => Cow::Borrowed(lookup(name)?),
+        Query::Input => (leaf(Schema::INPUT)?, Vec::new()),
+        Query::Second => (leaf(Schema::SECOND)?, Vec::new()),
+        Query::Rel(name) => (leaf(name)?, Vec::new()),
         // A literal is a ground subtable; it carries no variables, so
         // domain declarations merge in from the other operands.
-        Query::Lit(i) => Cow::Owned(CTable::from_instance(i)),
-        Query::Project(cols, q) => prune(eval_ctable_pruned(lookup, q)?.project_bar(cols)?),
+        Query::Lit(i) => (Cow::Owned(CTable::from_instance(i)), Vec::new()),
+        Query::Project(cols, a) => {
+            let (c, r) = eval(a)?;
+            (prune(c.project_bar(cols)?), vec![r])
+        }
         // Vectorized when every referenced column is ground (falls back
         // to the term-at-a-time path otherwise); `prune` makes the two
         // paths byte-identical (see `select_bar_vectorized`).
-        Query::Select(p, q) => prune(eval_ctable_pruned(lookup, q)?.select_bar_vectorized(p)?),
-        Query::Product(a, b) => prune(
-            eval_ctable_pruned(lookup, a)?.product_bar(eval_ctable_pruned(lookup, b)?.as_ref())?,
-        ),
-        // The hash path of `join_bar` already skips ground-key pairs
-        // whose conditions would fold to `false`; pruning still re-folds
-        // the fallback pairs' composed conditions.
-        Query::Join {
-            on,
-            residual,
-            left,
-            right,
-        } => prune(eval_ctable_pruned(lookup, left)?.join_bar(
-            eval_ctable_pruned(lookup, right)?.as_ref(),
-            on,
-            residual.as_ref(),
-        )?),
-        Query::Union(a, b) => prune(
-            eval_ctable_pruned(lookup, a)?.union_bar(eval_ctable_pruned(lookup, b)?.as_ref())?,
-        ),
-        Query::Diff(a, b) => {
-            prune(eval_ctable_pruned(lookup, a)?.diff_bar(eval_ctable_pruned(lookup, b)?.as_ref())?)
+        Query::Select(p, a) => {
+            let (c, r) = eval(a)?;
+            (prune(c.select_bar_vectorized(p)?), vec![r])
         }
-        Query::Intersect(a, b) => prune(
-            eval_ctable_pruned(lookup, a)?
-                .intersect_bar(eval_ctable_pruned(lookup, b)?.as_ref())?,
-        ),
+        Query::Product(a, b)
+        | Query::Union(a, b)
+        | Query::Diff(a, b)
+        | Query::Intersect(a, b)
+        | Query::Join {
+            left: a, right: b, ..
+        } => {
+            let (ca, ra) = eval(a)?;
+            let (cb, rb) = eval(b)?;
+            let out = match q {
+                // The hash path of `join_bar` already skips ground-key
+                // pairs whose conditions would fold to `false`; pruning
+                // still re-folds the fallback pairs' composed conditions.
+                Query::Join { on, residual, .. } => ca.join_bar(&cb, on, residual.as_ref())?,
+                Query::Union(..) => ca.union_bar(&cb)?,
+                Query::Diff(..) => ca.diff_bar(&cb)?,
+                Query::Intersect(..) => ca.intersect_bar(&cb)?,
+                _ => ca.product_bar(&cb)?,
+            };
+            (prune(out), vec![ra, rb])
+        }
+    };
+    let op = OpStats {
+        arity: out.arity(),
+        rows_out: out.rows().len() as u64,
+        rows_pruned,
+        build_left: None,
+    };
+    Ok((out, T::op(metrics, q, t0, op, children)))
+}
+
+/// [`eval_ctable`] under the tracer `opts` asks for.
+fn run_ctable<'a, B>(
+    input: Input<'a, B>,
+    table: fn(&B) -> &CTable,
+    q: &Query,
+    opts: &RunOpts,
+) -> Result<(Cow<'a, CTable>, Option<OpReport>), TableError> {
+    let metrics = opts.exec.metrics;
+    Ok(if opts.analyze {
+        let (out, report) = eval_ctable::<B, Analyze>(input, table, metrics, q)?;
+        (out, Some(report))
+    } else {
+        (eval_ctable::<B, NoTrace>(input, table, metrics, q)?.0, None)
     })
 }
 
-/// [`eval_ctable_pruned`] with per-operator tracing: same operators,
-/// same pruning, same errors, but every node reports cardinalities,
-/// **how many rows pruning removed** (rows whose composed condition
-/// folded to `false` — the observable payoff of the pruning executor),
-/// and inclusive wall-clock time. Pruned-row totals also feed the
-/// global `prune.rows` counter when metrics are enabled.
-fn eval_ctable_traced<'a, F>(
-    lookup: &F,
-    q: &Query,
-) -> Result<(Cow<'a, CTable>, OpReport), TableError>
-where
-    F: Fn(&str) -> Result<&'a CTable, TableError>,
-{
-    let t0 = std::time::Instant::now();
-    // `prune` additionally counts the rows it removed.
-    let prune = |raw: CTable| -> (Cow<'a, CTable>, u64) {
-        let before = raw.rows().len();
-        let out = raw.simplified().without_false_rows();
-        let pruned = (before - out.rows().len()) as u64;
-        if pruned > 0 && ipdb_obs::enabled() {
-            ipdb_obs::add("prune.rows", pruned);
-        }
-        (Cow::Owned(out), pruned)
-    };
-    let ((out, rows_pruned), children) = match q {
-        // Leaves borrow, exactly as in `eval_ctable_pruned`.
-        Query::Input => ((Cow::Borrowed(lookup(Schema::INPUT)?), 0), Vec::new()),
-        Query::Second => ((Cow::Borrowed(lookup(Schema::SECOND)?), 0), Vec::new()),
-        Query::Rel(name) => ((Cow::Borrowed(lookup(name)?), 0), Vec::new()),
-        Query::Lit(i) => ((Cow::Owned(CTable::from_instance(i)), 0), Vec::new()),
-        Query::Project(cols, q) => {
-            let (c, r) = eval_ctable_traced(lookup, q)?;
-            (prune(c.project_bar(cols)?), vec![r])
-        }
-        Query::Select(p, q) => {
-            let (c, r) = eval_ctable_traced(lookup, q)?;
-            (prune(c.select_bar_vectorized(p)?), vec![r])
-        }
-        Query::Product(a, b) => {
-            let (ca, ra) = eval_ctable_traced(lookup, a)?;
-            let (cb, rb) = eval_ctable_traced(lookup, b)?;
-            (prune(ca.product_bar(cb.as_ref())?), vec![ra, rb])
-        }
-        Query::Join {
-            on,
-            residual,
-            left,
-            right,
-        } => {
-            let (cl, rl) = eval_ctable_traced(lookup, left)?;
-            let (cr, rr) = eval_ctable_traced(lookup, right)?;
-            (
-                prune(cl.join_bar(cr.as_ref(), on, residual.as_ref())?),
-                vec![rl, rr],
-            )
-        }
-        Query::Union(a, b) => {
-            let (ca, ra) = eval_ctable_traced(lookup, a)?;
-            let (cb, rb) = eval_ctable_traced(lookup, b)?;
-            (prune(ca.union_bar(cb.as_ref())?), vec![ra, rb])
-        }
-        Query::Diff(a, b) => {
-            let (ca, ra) = eval_ctable_traced(lookup, a)?;
-            let (cb, rb) = eval_ctable_traced(lookup, b)?;
-            (prune(ca.diff_bar(cb.as_ref())?), vec![ra, rb])
-        }
-        Query::Intersect(a, b) => {
-            let (ca, ra) = eval_ctable_traced(lookup, a)?;
-            let (cb, rb) = eval_ctable_traced(lookup, b)?;
-            (prune(ca.intersect_bar(cb.as_ref())?), vec![ra, rb])
-        }
-    };
-    let rows_out = out.rows().len() as u64;
-    let rows_in = if children.is_empty() {
-        rows_out
-    } else {
-        children.iter().map(|c| c.rows_out).sum()
-    };
-    let report = OpReport {
-        label: query_label(q),
-        arity: out.arity(),
-        rows_in,
-        rows_out,
-        rows_pruned,
-        ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        build_left: None,
-        children,
-    };
-    Ok((out, report))
-}
-
 /// An input relation a planned query can execute against.
-pub trait Backend {
+pub trait Backend: Sized {
     /// The result type (each semantics is closed: instances produce
     /// instances, c-tables produce c-tables, pc-tables produce
     /// pc-tables).
@@ -336,44 +364,20 @@ pub trait Backend {
     /// input arity before execution).
     fn input_arity(&self) -> usize;
 
-    /// Runs a (already planned/optimized) query against this input.
-    fn run(&self, q: &Query) -> Result<Self::Output, EngineError>;
-
-    /// Runs a planned query against a named catalog of this backend
-    /// type (`Input`/`Second` resolve as the reserved names `V`/`W`).
-    fn run_catalog(cat: &Catalog<Self>, q: &Query) -> Result<Self::Output, EngineError>
-    where
-        Self: Sized;
-
-    /// [`Backend::run_catalog`] with an explicit [`ExecConfig`].
-    /// Backends without a parallel executor ignore the config (their
-    /// catalog path is single-threaded already); the [`Instance`]
-    /// backend routes it into the morsel executor instead of spawning
-    /// a fresh default-sized pool per query — what a serving layer
-    /// wants, where parallelism comes from concurrent requests.
-    fn run_catalog_with(
-        cat: &Catalog<Self>,
+    /// Runs a (already planned/optimized) query against an input, with
+    /// a per-operator report when `opts.analyze` is set. The output is
+    /// identical either way.
+    fn run(
+        input: Input<'_, Self>,
         q: &Query,
-        cfg: &ExecConfig,
-    ) -> Result<Self::Output, EngineError>
-    where
-        Self: Sized,
-    {
-        let _ = cfg;
-        Self::run_catalog(cat, q)
+        opts: &RunOpts,
+    ) -> Result<(Self::Output, Option<OpReport>), EngineError>;
+
+    /// Untraced [`Backend::run`] against a named catalog under the
+    /// default [`RunOpts`].
+    fn run_catalog(cat: &Catalog<Self>, q: &Query) -> Result<Self::Output, EngineError> {
+        Ok(Self::run(Input::Catalog(cat), q, &RunOpts::default())?.0)
     }
-
-    /// [`Backend::run`] with per-operator tracing: the identical output
-    /// plus an [`OpReport`] tree recording what each operator did.
-    fn run_analyzed(&self, q: &Query) -> Result<(Self::Output, OpReport), EngineError>;
-
-    /// [`Backend::run_catalog`] with per-operator tracing.
-    fn run_catalog_analyzed(
-        cat: &Catalog<Self>,
-        q: &Query,
-    ) -> Result<(Self::Output, OpReport), EngineError>
-    where
-        Self: Sized;
 }
 
 impl Backend for Instance {
@@ -385,33 +389,14 @@ impl Backend for Instance {
         self.arity()
     }
 
-    fn run(&self, q: &Query) -> Result<Instance, EngineError> {
-        // Columnar, morsel-parallel executor; bit-identical to
-        // `q.eval(self)` at every thread count (see [`crate::morsel`]).
-        crate::morsel::run_instance(self, q, &ExecConfig::from_env())
-    }
-
-    fn run_catalog(cat: &Catalog<Instance>, q: &Query) -> Result<Instance, EngineError> {
-        crate::morsel::run_instance_map(&cat.rels, q, &ExecConfig::from_env())
-    }
-
-    fn run_catalog_with(
-        cat: &Catalog<Instance>,
+    /// Columnar, morsel-parallel executor; bit-identical to
+    /// `q.eval(self)` at every thread count (see [`crate::morsel`]).
+    fn run(
+        input: Input<'_, Instance>,
         q: &Query,
-        cfg: &ExecConfig,
-    ) -> Result<Instance, EngineError> {
-        crate::morsel::run_instance_map(&cat.rels, q, cfg)
-    }
-
-    fn run_analyzed(&self, q: &Query) -> Result<(Instance, OpReport), EngineError> {
-        crate::morsel::run_instance_traced(self, q, &ExecConfig::from_env())
-    }
-
-    fn run_catalog_analyzed(
-        cat: &Catalog<Instance>,
-        q: &Query,
-    ) -> Result<(Instance, OpReport), EngineError> {
-        crate::morsel::run_instance_map_traced(&cat.rels, q, &ExecConfig::from_env())
+        opts: &RunOpts,
+    ) -> Result<(Instance, Option<OpReport>), EngineError> {
+        crate::morsel::run_instance(input, q, opts)
     }
 }
 
@@ -424,44 +409,12 @@ impl Backend for CTable {
         self.arity()
     }
 
-    fn run(&self, q: &Query) -> Result<CTable, EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            if name == Schema::INPUT {
-                Ok(self)
-            } else {
-                Err(missing_rel(name))
-            }
-        };
-        Ok(eval_ctable_pruned(&lookup, q)?.into_owned())
-    }
-
-    fn run_catalog(cat: &Catalog<CTable>, q: &Query) -> Result<CTable, EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            cat.get(name).ok_or_else(|| missing_rel(name))
-        };
-        Ok(eval_ctable_pruned(&lookup, q)?.into_owned())
-    }
-
-    fn run_analyzed(&self, q: &Query) -> Result<(CTable, OpReport), EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            if name == Schema::INPUT {
-                Ok(self)
-            } else {
-                Err(missing_rel(name))
-            }
-        };
-        let (out, report) = eval_ctable_traced(&lookup, q)?;
-        Ok((out.into_owned(), report))
-    }
-
-    fn run_catalog_analyzed(
-        cat: &Catalog<CTable>,
+    fn run(
+        input: Input<'_, CTable>,
         q: &Query,
-    ) -> Result<(CTable, OpReport), EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            cat.get(name).ok_or_else(|| missing_rel(name))
-        };
-        let (out, report) = eval_ctable_traced(&lookup, q)?;
+        opts: &RunOpts,
+    ) -> Result<(CTable, Option<OpReport>), EngineError> {
+        let (out, report) = run_ctable(input, |t| t, q, opts)?;
         Ok((out.into_owned(), report))
     }
 }
@@ -475,65 +428,24 @@ impl<W: Weight> Backend for PcTable<W> {
         self.arity()
     }
 
-    fn run(&self, q: &Query) -> Result<PcTable<W>, EngineError> {
-        // Theorem 9 closure via the pruning executor; dropping a
-        // distribution whose variable vanished marginalizes it, which is
-        // exactly the image-space semantics (see `PcTable::eval_query`).
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            if name == Schema::INPUT {
-                Ok(self.table())
-            } else {
-                Err(missing_rel(name))
-            }
-        };
-        let qt = eval_ctable_pruned(&lookup, q)?;
-        let dists = self.dists_restricted(&qt.vars());
-        Ok(PcTable::new(qt.into_owned(), dists)?)
-    }
-
-    fn run_catalog(cat: &Catalog<PcTable<W>>, q: &Query) -> Result<PcTable<W>, EngineError> {
-        // All pc-relations live in one variable namespace: run the
-        // c-table closure over the catalog of underlying tables, then
-        // attach the union of the per-relation distributions
-        // (conflict-checked across *all* shared variables, cloned only
-        // for the survivors), marginalizing out the variables the
-        // answer no longer mentions.
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            cat.get(name)
-                .map(PcTable::table)
-                .ok_or_else(|| missing_rel(name))
-        };
-        let qt = eval_ctable_pruned(&lookup, q)?;
-        let dists =
-            PcTable::merged_dists_restricted(cat.rels.values().map(Arc::as_ref), &qt.vars())?;
-        Ok(PcTable::new(qt.into_owned(), dists)?)
-    }
-
-    fn run_analyzed(&self, q: &Query) -> Result<(PcTable<W>, OpReport), EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            if name == Schema::INPUT {
-                Ok(self.table())
-            } else {
-                Err(missing_rel(name))
-            }
-        };
-        let (qt, report) = eval_ctable_traced(&lookup, q)?;
-        let dists = self.dists_restricted(&qt.vars());
-        Ok((PcTable::new(qt.into_owned(), dists)?, report))
-    }
-
-    fn run_catalog_analyzed(
-        cat: &Catalog<PcTable<W>>,
+    /// Theorem 9 closure via the pruning executor. All pc-relations of
+    /// the input live in one variable namespace: the answer carries the
+    /// union of their distributions (conflict-checked across *all*
+    /// shared variables, cloned only for the survivors), and dropping a
+    /// distribution whose variable vanished marginalizes it — exactly
+    /// the image-space semantics (see `PcTable::eval_query`).
+    fn run(
+        input: Input<'_, PcTable<W>>,
         q: &Query,
-    ) -> Result<(PcTable<W>, OpReport), EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            cat.get(name)
-                .map(PcTable::table)
-                .ok_or_else(|| missing_rel(name))
+        opts: &RunOpts,
+    ) -> Result<(PcTable<W>, Option<OpReport>), EngineError> {
+        let (qt, report) = run_ctable(input, PcTable::table, q, opts)?;
+        let dists = match input {
+            Input::Single(pc) => pc.dists_restricted(&qt.vars()),
+            Input::Catalog(cat) => {
+                PcTable::merged_dists_restricted(cat.rels.values().map(Arc::as_ref), &qt.vars())?
+            }
         };
-        let (qt, report) = eval_ctable_traced(&lookup, q)?;
-        let dists =
-            PcTable::merged_dists_restricted(cat.rels.values().map(Arc::as_ref), &qt.vars())?;
         Ok((PcTable::new(qt.into_owned(), dists)?, report))
     }
 }
@@ -545,6 +457,15 @@ mod tests {
     use ipdb_prob::{rat, FiniteSpace, ProbError, Rat};
     use ipdb_rel::{instance, tuple, Pred, Value};
     use ipdb_tables::{t_const, t_var};
+
+    fn run<B: Backend>(input: &B, q: &Query) -> Result<B::Output, EngineError> {
+        Ok(B::run(Input::Single(input), q, &RunOpts::default())?.0)
+    }
+
+    fn analyzed<B: Backend>(input: Input<'_, B>, q: &Query) -> (B::Output, OpReport) {
+        let (out, report) = B::run(input, q, &RunOpts::analyzed()).unwrap();
+        (out, report.expect("analyze was requested"))
+    }
 
     fn query() -> Query {
         // π₀(σ_{#0=#1}(V × V)) over arity-1 inputs.
@@ -561,7 +482,7 @@ mod tests {
     fn instance_backend_matches_eval() {
         let i = instance![[1], [2]];
         assert_eq!(i.input_arity(), 1);
-        assert_eq!(i.run(&query()).unwrap(), query().eval(&i).unwrap());
+        assert_eq!(run(&i, &query()).unwrap(), query().eval(&i).unwrap());
     }
 
     #[test]
@@ -573,7 +494,7 @@ mod tests {
             .row([t_const(3)], Condition::True)
             .build()
             .unwrap();
-        let out = t.run(&query()).unwrap();
+        let out = run(&t, &query()).unwrap();
         // Worldwise agreement with conventional evaluation.
         for val in [1i64, 3] {
             let nu = Valuation::from_iter([(x, Value::from(val))]);
@@ -601,7 +522,7 @@ mod tests {
         let dist =
             FiniteSpace::new([(Value::from(1), rat!(1, 2)), (Value::from(2), rat!(1, 2))]).unwrap();
         let pc = PcTable::new(t, [(x, dist)]).unwrap();
-        let out = pc.run(&query()).unwrap();
+        let out = run(&pc, &query()).unwrap();
         assert_eq!(out.arity(), 1);
         let lhs = out.mod_space().unwrap();
         let rhs = pc.eval_query(&query()).unwrap().mod_space().unwrap();
@@ -630,7 +551,7 @@ mod tests {
             FiniteSpace::new([(Value::from(3), rat!(1, 4)), (Value::from(4), rat!(3, 4))]).unwrap();
         let pc = PcTable::new(t, [(x, dx), (y, dy)]).unwrap();
         let q = Query::select(Query::Input, Pred::neq_const(0, 7));
-        let out = pc.run(&q).unwrap();
+        let out = run(&pc, &q).unwrap();
         assert!(out.dists().contains_key(&x));
         assert!(
             !out.dists().contains_key(&y),
@@ -655,8 +576,8 @@ mod tests {
 
         let i = instance![[1], [2]];
         let q = query();
-        let (out, report) = i.run_analyzed(&q).unwrap();
-        assert_eq!(out, i.run(&q).unwrap());
+        let (out, report) = analyzed(Input::Single(&i), &q);
+        assert_eq!(out, run(&i, &q).unwrap());
         assert_eq!(report.label, "pi[0]");
         // pi → sigma → x → (V, V): five operators.
         assert_eq!(report.node_count(), 5);
@@ -667,8 +588,8 @@ mod tests {
         // and report having done so.
         let t = CTable::from_instance(&instance![[1], [2]]);
         let qd = Query::diff(Query::Input, Query::Lit(instance![[2]]));
-        let (ct_out, ct_report) = t.run_analyzed(&qd).unwrap();
-        assert_eq!(ct_out, t.run(&qd).unwrap());
+        let (ct_out, ct_report) = analyzed(Input::Single(&t), &qd);
+        assert_eq!(ct_out, run(&t, &qd).unwrap());
         assert_eq!(ct_report.label, "diff");
         assert_eq!(ct_report.rows_in, 3);
         assert_eq!(ct_report.rows_out, 1);
@@ -689,8 +610,8 @@ mod tests {
         let dist =
             FiniteSpace::new([(Value::from(1), rat!(1, 2)), (Value::from(2), rat!(1, 2))]).unwrap();
         let pc = PcTable::new(ct, [(x, dist)]).unwrap();
-        let (pc_out, pc_report) = pc.run_analyzed(&q).unwrap();
-        let plain = pc.run(&q).unwrap();
+        let (pc_out, pc_report) = analyzed(Input::Single(&pc), &q);
+        let plain = run(&pc, &q).unwrap();
         assert_eq!(pc_out.table(), plain.table());
         assert_eq!(
             pc_out.dists().keys().collect::<Vec<_>>(),
@@ -701,7 +622,7 @@ mod tests {
         // Catalog variants agree with their untraced twins too.
         let cat: Catalog<Instance> = [("R", instance![[1, 2], [3, 4]])].into_iter().collect();
         let qr = Query::select(Query::rel("R"), Pred::eq_cols(0, 0));
-        let (cat_out, cat_report) = Instance::run_catalog_analyzed(&cat, &qr).unwrap();
+        let (cat_out, cat_report) = analyzed(Input::Catalog(&cat), &qr);
         assert_eq!(cat_out, Instance::run_catalog(&cat, &qr).unwrap());
         assert_eq!(cat_report.children[0].label, "R");
     }

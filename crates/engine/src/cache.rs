@@ -76,7 +76,9 @@ impl Inner {
     }
 
     /// Evicts the least-recently-touched entry (and its aliases) across
-    /// all shards. O(entries), paid only on an at-capacity miss.
+    /// all shards. O(entries), paid only on an at-capacity miss; the
+    /// scan compares stamps by reference and clones only the victim's
+    /// keys.
     fn evict_lru(&mut self) {
         let victim = self
             .shards
@@ -85,12 +87,13 @@ impl Inner {
                 shard
                     .entries
                     .iter()
-                    .map(move |(canon, e)| (e.stamp, schema.clone(), canon.clone()))
+                    .map(move |(canon, e)| (e, schema, canon))
             })
-            .min_by_key(|(stamp, _, _)| *stamp);
+            .min_by_key(|(e, _, _)| e.stamp)
+            .map(|(_, schema, canon)| (schema.clone(), canon.clone()));
         // The victim was found by iterating `self.shards`, so its shard
         // is present; an `if let` keeps this total instead of asserting.
-        if let Some((_, schema, canon)) = victim {
+        if let Some((schema, canon)) = victim {
             let Some(shard) = self.shards.get_mut(&schema) else {
                 return;
             };
@@ -381,10 +384,10 @@ mod tests {
         assert_eq!(p2.output_arity(), 2);
         // And the cached statements really execute at their arities.
         let c1: crate::Catalog<ipdb_rel::Instance> = [("R", instance![[7]])].into_iter().collect();
-        assert_eq!(p1.execute_catalog(&c1).unwrap(), instance![[7]]);
+        assert_eq!(p1.execute(&c1).unwrap(), instance![[7]]);
         let c2: crate::Catalog<ipdb_rel::Instance> =
             [("R", instance![[7, 8]])].into_iter().collect();
-        assert_eq!(p2.execute_catalog(&c2).unwrap(), instance![[7, 8]]);
+        assert_eq!(p2.execute(&c2).unwrap(), instance![[7, 8]]);
     }
 
     #[test]

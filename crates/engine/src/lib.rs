@@ -22,7 +22,9 @@
 //!    [`Instance`](ipdb_rel::Instance), [`CTable`](ipdb_tables::CTable)
 //!    (with [`simplified`](ipdb_tables::CTable::simplified) condition
 //!    pruning), and [`PcTable`](ipdb_prob::PcTable), so one prepared
-//!    plan runs under all three semantics. Joins hash on their key
+//!    plan runs under all three semantics through one entry point,
+//!    [`Prepared::run`] (and [`Prepared::answer_dist`] for exact
+//!    answer distributions), configured by [`RunOpts`]. Joins hash on their key
 //!    columns: instances bucket the build side outright, while c-/pc-
 //!    tables bucket the rows whose key columns are *ground* and fall
 //!    back to condition-conjunction pairing for rows with variable keys,
@@ -37,14 +39,14 @@
 //! thread count and morsel size*. The worker count defaults to
 //! [`std::thread::available_parallelism`], overridable with
 //! `IPDB_THREADS` (`IPDB_THREADS=1` forces serial execution); pass an
-//! explicit [`ExecConfig`] via [`Prepared::execute_with`] /
-//! [`Prepared::execute_catalog_with`] to pin it programmatically.
+//! explicit [`ExecConfig`] in [`RunOpts::exec`] to pin it
+//! programmatically.
 //!
 //! ## Observability
 //!
-//! Every execution path has an **`EXPLAIN ANALYZE`** twin:
-//! [`Prepared::execute_analyzed`] (and the `_catalog`/`_with`/
-//! `answer_dist` variants) returns the identical output plus a
+//! **`EXPLAIN ANALYZE`** is an option, not a second executor: with
+//! [`RunOpts::analyze`] set, [`Prepared::run`] (and
+//! [`Prepared::answer_dist`]) returns the identical output plus a
 //! [`QueryReport`] — per-operator cardinalities, selectivities,
 //! inclusive/exclusive timings, the hash join's build-side choice, rows
 //! pruned by c-table condition simplification, the optimizer's pass
@@ -53,8 +55,10 @@
 //! plan tree. Engine internals additionally report into the `ipdb-obs`
 //! counter registry (worker-pool gauges, morsel/stage counts) when
 //! metrics are enabled via `IPDB_METRICS=1` or
-//! [`ExecConfig::metrics`]; the plain `execute` path records nothing
-//! when metrics are off.
+//! [`ExecConfig::metrics`] — rows pruned by condition simplification
+//! among them, on plain and analyzed runs alike; nothing is recorded
+//! when metrics are off. Each evaluator is generic over a tracer whose
+//! no-op form reads no clock and builds no report (see [`report`]).
 //!
 //! ```
 //! use ipdb_engine::{parser, Engine};
@@ -95,9 +99,11 @@
 //! [`Catalog`] (`name → relation`) of any backend. `V`/`W` stay as the
 //! reserved names of the classic one- and two-relation contexts, so
 //! every single-input query is the special case of a `{"V": …}`
-//! catalog. A pc-table catalog shares one variable namespace across its
-//! relations — and [`Prepared::answer_dist_catalog`] compiles the whole
-//! answer's conditions with one shared `BddManager`.
+//! catalog: every execution method takes either form (a [`Source`]),
+//! and both resolve names through one [`Input`]. A pc-table catalog
+//! shares one variable namespace across its relations — and
+//! [`Prepared::answer_dist`] compiles the whole answer's conditions
+//! with one shared `BddManager`.
 //!
 //! ## Serving
 //!
@@ -108,10 +114,12 @@
 //! never block on writers), and a multithreaded [`Server`] request
 //! loop with per-request panic isolation. Catalog relations are
 //! `Arc`-shared and executor leaves borrow them, so a hot 100k-row
-//! relation is *not* copied per request.
+//! relation is *not* copied per request. Server workers execute with
+//! [`Prepared::execute_catalog_cfg`], under the server's
+//! [`ExecConfig`].
 //!
 //! ```
-//! use ipdb_engine::{Catalog, Engine, Schema};
+//! use ipdb_engine::{Catalog, Engine, RunOpts, Schema};
 //! use ipdb_rel::{instance, Instance};
 //!
 //! let schema = Schema::new([("R", 2), ("S", 2)]).unwrap();
@@ -124,10 +132,12 @@
 //! ]
 //! .into_iter()
 //! .collect();
-//! assert_eq!(
-//!     stmt.execute_catalog(&cat).unwrap(),
-//!     instance![[1, 2, 1, 9]],
-//! );
+//! assert_eq!(stmt.execute(&cat).unwrap(), instance![[1, 2, 1, 9]]);
+//!
+//! // The same run, traced: identical output plus the operator tree.
+//! let (out, report) = stmt.run(&cat, &RunOpts::analyzed()).unwrap();
+//! assert_eq!(out, instance![[1, 2, 1, 9]]);
+//! assert!(report.unwrap().root.label.starts_with("join["));
 //! ```
 
 #![warn(missing_docs)]
@@ -144,7 +154,7 @@ pub mod plan;
 pub mod report;
 pub mod serve;
 
-pub use backend::{Backend, Catalog};
+pub use backend::{Backend, Catalog, Input, RunOpts, Source};
 pub use cache::PlanCache;
 pub use error::EngineError;
 pub use morsel::ExecConfig;

@@ -28,17 +28,21 @@
 //! Set operations (`∪`, `−`, `∩`) and leaf lookups convert through row
 //! form — they are cheap relative to the join/select kernels and their
 //! `BTreeSet` implementations are already canonical.
+//!
+//! [`run_instance`] is the one entry point, for a single relation or a
+//! catalog alike; `EXPLAIN ANALYZE` runs the same evaluator under the
+//! tracer of [`crate::report`].
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use ipdb_rel::{
     ColumnarInstance, Instance, JoinIndex, Pred, Query, RelError, Schema, Tuple, Value,
 };
 
+use crate::backend::{Input, RunOpts};
 use crate::error::EngineError;
-use crate::report::{query_label, OpReport};
+use crate::report::{Analyze, NoTrace, OpReport, OpStats, Tracer};
 
 /// Default morsel size (rows per scheduling unit).
 pub const DEFAULT_MORSEL_ROWS: usize = 1024;
@@ -94,10 +98,16 @@ impl ExecConfig {
             static WARN_ONCE: std::sync::Once = std::sync::Once::new();
             WARN_ONCE.call_once(|| eprintln!("ipdb: warning: {w}"));
         }
+        // The detected core count is read once per process: on Linux it
+        // costs several cgroup file reads, and every default-configured
+        // execution (c-/pc-table ones included) builds a config.
+        static DETECTED: OnceLock<usize> = OnceLock::new();
         let threads = parsed.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
+            *DETECTED.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
         });
         ExecConfig::with_threads(threads)
     }
@@ -247,21 +257,11 @@ fn par_select(
 /// Parallel hash equijoin: serial build on the smaller side, morsel-
 /// parallel probe, serial gather, parallel residual mask. Key
 /// normalization is the shared [`ipdb_rel::normalize_join_keys`], so
-/// this can never classify keys differently from the row path.
-fn par_join(
-    left: &ColumnarInstance,
-    right: &ColumnarInstance,
-    on: &[(usize, usize)],
-    residual: Option<&Pred>,
-    cfg: &ExecConfig,
-) -> Result<ColumnarInstance, RelError> {
-    par_join_impl(left, right, on, residual, cfg).map(|(out, _)| out)
-}
-
-/// [`par_join`] plus the build-side choice for `EXPLAIN ANALYZE`:
+/// this can never classify keys differently from the row path. Also
+/// returns the build-side choice for `EXPLAIN ANALYZE`:
 /// `Some(build_left)` on the hash path, `None` when empty keys degrade
 /// the join to product + filter.
-fn par_join_impl(
+fn par_join(
     left: &ColumnarInstance,
     right: &ColumnarInstance,
     on: &[(usize, usize)],
@@ -357,93 +357,33 @@ fn to_rows_par(ci: &ColumnarInstance, cfg: &ExecConfig) -> Instance {
     Instance::from_tuple_batch(ci.arity(), all).expect("columnar rows share the batch arity")
 }
 
-/// The columnar/morsel evaluator over a name-lookup context; mirrors
-/// `Query::eval`'s structure (and errors) operator by operator.
-fn eval_columnar<'a, F>(
-    lookup: &F,
+/// The columnar/morsel evaluator, generic over the tracer (see
+/// [`crate::report`]); mirrors `Query::eval`'s structure (and errors)
+/// operator by operator.
+fn eval_columnar<T: Tracer>(
+    input: Input<'_, Instance>,
     q: &Query,
     cfg: &ExecConfig,
-) -> Result<ColumnarInstance, RelError>
-where
-    F: Fn(&str) -> Result<&'a Instance, RelError>,
-{
-    match q {
-        Query::Input => Ok(from_rows_par(lookup(Schema::INPUT)?, cfg)),
-        Query::Second => Ok(from_rows_par(lookup(Schema::SECOND)?, cfg)),
-        Query::Rel(name) => Ok(from_rows_par(lookup(name)?, cfg)),
-        Query::Lit(i) => Ok(ColumnarInstance::from_rows(i)),
-        Query::Project(cols, q) => eval_columnar(lookup, q, cfg)?.project(cols),
-        Query::Select(p, q) => par_select(&eval_columnar(lookup, q, cfg)?, p, cfg),
-        Query::Product(a, b) => {
-            Ok(eval_columnar(lookup, a, cfg)?.product(&eval_columnar(lookup, b, cfg)?))
-        }
-        Query::Join {
-            on,
-            residual,
-            left,
-            right,
-        } => par_join(
-            &eval_columnar(lookup, left, cfg)?,
-            &eval_columnar(lookup, right, cfg)?,
-            on,
-            residual.as_ref(),
-            cfg,
-        ),
-        // Set operations go through canonical row form; their BTreeSet
-        // implementations are the deterministic merge.
-        Query::Union(a, b) => {
-            let a = to_rows_par(&eval_columnar(lookup, a, cfg)?, cfg);
-            let b = to_rows_par(&eval_columnar(lookup, b, cfg)?, cfg);
-            Ok(ColumnarInstance::from_rows(&a.union(&b)?))
-        }
-        Query::Diff(a, b) => {
-            let a = to_rows_par(&eval_columnar(lookup, a, cfg)?, cfg);
-            let b = to_rows_par(&eval_columnar(lookup, b, cfg)?, cfg);
-            Ok(ColumnarInstance::from_rows(&a.difference(&b)?))
-        }
-        Query::Intersect(a, b) => {
-            let a = to_rows_par(&eval_columnar(lookup, a, cfg)?, cfg);
-            let b = to_rows_par(&eval_columnar(lookup, b, cfg)?, cfg);
-            Ok(ColumnarInstance::from_rows(&a.intersect(&b)?))
-        }
-    }
-}
-
-/// [`eval_columnar`] with per-operator tracing: same evaluation, same
-/// errors, but every node additionally reports cardinalities, the hash
-/// join's build side, and **inclusive** wall-clock time (each node's
-/// clock starts before its children evaluate, so the tree-wide sum of
-/// exclusive times equals the root's inclusive time by construction).
-/// The tracing cost is one `Instant` read pair and one small allocation
-/// per *operator* — never per row — so the traced path is safe to use
-/// on large inputs; the untraced twin exists so plain `execute` pays
-/// nothing at all.
-fn eval_columnar_traced<'a, F>(
-    lookup: &F,
-    q: &Query,
-    cfg: &ExecConfig,
-) -> Result<(ColumnarInstance, OpReport), RelError>
-where
-    F: Fn(&str) -> Result<&'a Instance, RelError>,
-{
-    let t0 = std::time::Instant::now();
+) -> Result<(ColumnarInstance, T::Report), RelError> {
+    let t0 = T::start();
+    let eval = |q: &Query| eval_columnar::<T>(input, q, cfg);
     let mut build_left = None;
     let (out, children) = match q {
-        Query::Input => (from_rows_par(lookup(Schema::INPUT)?, cfg), Vec::new()),
-        Query::Second => (from_rows_par(lookup(Schema::SECOND)?, cfg), Vec::new()),
-        Query::Rel(name) => (from_rows_par(lookup(name)?, cfg), Vec::new()),
+        Query::Input => (from_rows_par(input.get(Schema::INPUT)?, cfg), Vec::new()),
+        Query::Second => (from_rows_par(input.get(Schema::SECOND)?, cfg), Vec::new()),
+        Query::Rel(name) => (from_rows_par(input.get(name)?, cfg), Vec::new()),
         Query::Lit(i) => (ColumnarInstance::from_rows(i), Vec::new()),
-        Query::Project(cols, q) => {
-            let (c, r) = eval_columnar_traced(lookup, q, cfg)?;
+        Query::Project(cols, a) => {
+            let (c, r) = eval(a)?;
             (c.project(cols)?, vec![r])
         }
-        Query::Select(p, q) => {
-            let (c, r) = eval_columnar_traced(lookup, q, cfg)?;
+        Query::Select(p, a) => {
+            let (c, r) = eval(a)?;
             (par_select(&c, p, cfg)?, vec![r])
         }
         Query::Product(a, b) => {
-            let (ca, ra) = eval_columnar_traced(lookup, a, cfg)?;
-            let (cb, rb) = eval_columnar_traced(lookup, b, cfg)?;
+            let (ca, ra) = eval(a)?;
+            let (cb, rb) = eval(b)?;
             (ca.product(&cb), vec![ra, rb])
         }
         Query::Join {
@@ -452,132 +392,82 @@ where
             left,
             right,
         } => {
-            let (cl, rl) = eval_columnar_traced(lookup, left, cfg)?;
-            let (cr, rr) = eval_columnar_traced(lookup, right, cfg)?;
-            let (joined, bl) = par_join_impl(&cl, &cr, on, residual.as_ref(), cfg)?;
+            let (cl, rl) = eval(left)?;
+            let (cr, rr) = eval(right)?;
+            let (joined, bl) = par_join(&cl, &cr, on, residual.as_ref(), cfg)?;
             build_left = bl;
             (joined, vec![rl, rr])
         }
-        Query::Union(a, b) => {
-            let (ca, ra) = eval_columnar_traced(lookup, a, cfg)?;
-            let (cb, rb) = eval_columnar_traced(lookup, b, cfg)?;
-            let a = to_rows_par(&ca, cfg);
-            let b = to_rows_par(&cb, cfg);
-            (ColumnarInstance::from_rows(&a.union(&b)?), vec![ra, rb])
-        }
-        Query::Diff(a, b) => {
-            let (ca, ra) = eval_columnar_traced(lookup, a, cfg)?;
-            let (cb, rb) = eval_columnar_traced(lookup, b, cfg)?;
-            let a = to_rows_par(&ca, cfg);
-            let b = to_rows_par(&cb, cfg);
-            (
-                ColumnarInstance::from_rows(&a.difference(&b)?),
-                vec![ra, rb],
-            )
-        }
-        Query::Intersect(a, b) => {
-            let (ca, ra) = eval_columnar_traced(lookup, a, cfg)?;
-            let (cb, rb) = eval_columnar_traced(lookup, b, cfg)?;
-            let a = to_rows_par(&ca, cfg);
-            let b = to_rows_par(&cb, cfg);
-            (ColumnarInstance::from_rows(&a.intersect(&b)?), vec![ra, rb])
+        // Set operations go through canonical row form; their BTreeSet
+        // implementations are the deterministic merge.
+        Query::Union(a, b) | Query::Diff(a, b) | Query::Intersect(a, b) => {
+            let (ca, ra) = eval(a)?;
+            let (cb, rb) = eval(b)?;
+            let (a, b) = (to_rows_par(&ca, cfg), to_rows_par(&cb, cfg));
+            let rows = match q {
+                Query::Union(..) => a.union(&b)?,
+                Query::Diff(..) => a.difference(&b)?,
+                _ => a.intersect(&b)?,
+            };
+            (ColumnarInstance::from_rows(&rows), vec![ra, rb])
         }
     };
-    let rows_out = out.len() as u64;
-    let rows_in = if children.is_empty() {
-        rows_out
-    } else {
-        children.iter().map(|c| c.rows_out).sum()
-    };
-    let report = OpReport {
-        label: query_label(q),
+    let op = OpStats {
         arity: out.arity(),
-        rows_in,
-        rows_out,
+        rows_out: out.len() as u64,
         rows_pruned: 0,
-        ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
         build_left,
-        children,
     };
-    Ok((out, report))
+    Ok((out, T::op(cfg.metrics, q, t0, op, children)))
 }
 
-/// Runs `q` against a single input relation (`V`) with an explicit
-/// configuration — the entry point the `Instance` backend uses (with
-/// [`ExecConfig::from_env`]) and the determinism oracles sweep.
+/// Runs `q` against an [`Input`] — one relation bound as `V`, or a
+/// catalog (`Input`/`Second` resolve as the reserved names `V`/`W`,
+/// exactly like `Query::eval_catalog`) — under `opts.exec`, with a
+/// per-operator report when `opts.analyze` is set. The instance is
+/// identical either way, at every configuration. Leaves are borrowed,
+/// so no catalog relation is copied.
 pub fn run_instance(
-    input: &Instance,
+    input: Input<'_, Instance>,
     q: &Query,
-    cfg: &ExecConfig,
-) -> Result<Instance, EngineError> {
-    let lookup = |name: &str| -> Result<&Instance, RelError> {
-        if name == Schema::INPUT {
-            Ok(input)
-        } else {
-            Err(RelError::missing_relation(name))
-        }
-    };
-    Ok(to_rows_par(&eval_columnar(&lookup, q, cfg)?, cfg))
-}
-
-/// Runs `q` against a named map of relations (`Input`/`Second` resolve
-/// as the reserved names `V`/`W`, exactly like `Query::eval_catalog`).
-/// Generic over the map's value so both plain `Instance` maps and the
-/// `Arc<Instance>` maps inside a [`crate::Catalog`] execute without
-/// copying a relation.
-pub fn run_instance_map<R: std::borrow::Borrow<Instance>>(
-    rels: &BTreeMap<String, R>,
-    q: &Query,
-    cfg: &ExecConfig,
-) -> Result<Instance, EngineError> {
-    let lookup = |name: &str| -> Result<&Instance, RelError> {
-        rels.get(name)
-            .map(std::borrow::Borrow::borrow)
-            .ok_or_else(|| RelError::missing_relation(name))
-    };
-    Ok(to_rows_par(&eval_columnar(&lookup, q, cfg)?, cfg))
-}
-
-/// [`run_instance`] with per-operator tracing — the `EXPLAIN ANALYZE`
-/// entry point for the single-relation case. The returned instance is
-/// identical to `run_instance`'s for every configuration.
-pub fn run_instance_traced(
-    input: &Instance,
-    q: &Query,
-    cfg: &ExecConfig,
-) -> Result<(Instance, OpReport), EngineError> {
-    let lookup = |name: &str| -> Result<&Instance, RelError> {
-        if name == Schema::INPUT {
-            Ok(input)
-        } else {
-            Err(RelError::missing_relation(name))
-        }
-    };
-    let (ci, report) = eval_columnar_traced(&lookup, q, cfg)?;
-    Ok((to_rows_par(&ci, cfg), report))
-}
-
-/// [`run_instance_map`] with per-operator tracing — the
-/// `EXPLAIN ANALYZE` entry point for named catalogs.
-pub fn run_instance_map_traced<R: std::borrow::Borrow<Instance>>(
-    rels: &BTreeMap<String, R>,
-    q: &Query,
-    cfg: &ExecConfig,
-) -> Result<(Instance, OpReport), EngineError> {
-    let lookup = |name: &str| -> Result<&Instance, RelError> {
-        rels.get(name)
-            .map(std::borrow::Borrow::borrow)
-            .ok_or_else(|| RelError::missing_relation(name))
-    };
-    let (ci, report) = eval_columnar_traced(&lookup, q, cfg)?;
-    Ok((to_rows_par(&ci, cfg), report))
+    opts: &RunOpts,
+) -> Result<(Instance, Option<OpReport>), EngineError> {
+    let cfg = &opts.exec;
+    Ok(if opts.analyze {
+        let (ci, report) = eval_columnar::<Analyze>(input, q, cfg)?;
+        (to_rows_par(&ci, cfg), Some(report))
+    } else {
+        (
+            to_rows_par(&eval_columnar::<NoTrace>(input, q, cfg)?.0, cfg),
+            None,
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Catalog;
     use ipdb_rel::instance;
+    use std::collections::BTreeMap;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn run(i: &Instance, q: &Query, cfg: &ExecConfig) -> Result<Instance, EngineError> {
+        Ok(run_instance(Input::Single(i), q, &RunOpts::with(cfg.clone()))?.0)
+    }
+
+    fn run_traced(
+        i: &Instance,
+        q: &Query,
+        cfg: &ExecConfig,
+    ) -> Result<(Instance, OpReport), EngineError> {
+        let opts = RunOpts {
+            exec: cfg.clone(),
+            analyze: true,
+        };
+        let (out, report) = run_instance(Input::Single(i), q, &opts)?;
+        Ok((out, report.expect("analyze was requested")))
+    }
 
     fn chain_query() -> Query {
         // σ_{#1=#2 ∧ #0≠#3}(V × V), exercising join extraction shape
@@ -638,14 +528,14 @@ mod tests {
         // First column unique → exactly 60 distinct rows survive the set.
         let i = Instance::from_rows(2, (0..60i64).map(|x| [x, x % 5])).unwrap();
         let q = Query::union(chain_query(), Query::product(Query::Input, Query::Input));
-        let expected = run_instance(&i, &q, &ExecConfig::serial()).unwrap();
+        let expected = run(&i, &q, &ExecConfig::serial()).unwrap();
         for threads in [1usize, 4] {
             let cfg = ExecConfig {
                 threads,
                 morsel_rows: 16,
                 metrics: false,
             };
-            let (out, report) = run_instance_traced(&i, &q, &cfg).unwrap();
+            let (out, report) = run_traced(&i, &q, &cfg).unwrap();
             assert_eq!(out, expected, "threads={threads}");
             // The report mirrors the query tree: union over (join, x).
             assert_eq!(report.label, "union");
@@ -677,42 +567,17 @@ mod tests {
         let cfg = ExecConfig::serial();
         let q = Query::rel("R");
         assert!(matches!(
-            run_instance_traced(&i, &q, &cfg),
+            run_traced(&i, &q, &cfg),
             Err(EngineError::Rel(RelError::UnknownRelation { .. }))
         ));
         let q = Query::select(Query::Input, Pred::eq_cols(0, 9));
         assert_eq!(
-            run_instance_traced(&i, &q, &cfg).map(|(out, _)| out),
+            run_traced(&i, &q, &cfg).map(|(out, _)| out),
             Err(EngineError::Rel(RelError::ColumnOutOfRange {
                 col: 9,
                 arity: 2
             }))
         );
-    }
-
-    #[test]
-    fn metrics_flow_into_registry_when_config_asks() {
-        // Per-config opt-in, not the global flag: a metrics:true config
-        // records stage/morsel counters even with the flag off.
-        let before = ipdb_obs::counter("exec.stages").get();
-        let before_morsels = ipdb_obs::counter("exec.morsels").get();
-        let cfg = ExecConfig {
-            threads: 1,
-            morsel_rows: 4,
-            metrics: true,
-        };
-        let out = run_morsels(16, &cfg, |lo, hi| hi - lo);
-        assert_eq!(out.iter().sum::<usize>(), 16);
-        assert_eq!(ipdb_obs::counter("exec.stages").get(), before + 1);
-        assert_eq!(ipdb_obs::counter("exec.morsels").get(), before_morsels + 4);
-        // And a metrics:false config records nothing.
-        let cfg_off = ExecConfig {
-            metrics: false,
-            ..cfg
-        };
-        run_morsels(16, &cfg_off, |lo, hi| hi - lo);
-        assert_eq!(ipdb_obs::counter("exec.stages").get(), before + 1);
-        assert_eq!(ipdb_obs::counter("exec.morsels").get(), before_morsels + 4);
     }
 
     #[test]
@@ -768,7 +633,7 @@ mod tests {
                     ..ExecConfig::serial()
                 };
                 assert_eq!(
-                    run_instance(&i, &q, &cfg).unwrap(),
+                    run(&i, &q, &cfg).unwrap(),
                     expected,
                     "threads={threads} morsel={morsel_rows}"
                 );
@@ -783,19 +648,19 @@ mod tests {
         // Missing second input.
         let q = Query::product(Query::Input, Query::Second);
         assert!(matches!(
-            run_instance(&i, &q, &cfg),
+            run(&i, &q, &cfg),
             Err(EngineError::Rel(RelError::NoSecondInput))
         ));
         // Unknown relation.
         let q = Query::rel("R");
         assert!(matches!(
-            run_instance(&i, &q, &cfg),
+            run(&i, &q, &cfg),
             Err(EngineError::Rel(RelError::UnknownRelation { .. }))
         ));
         // Out-of-range selection column.
         let q = Query::select(Query::Input, Pred::eq_cols(0, 9));
         assert_eq!(
-            run_instance(&i, &q, &cfg),
+            run(&i, &q, &cfg),
             Err(EngineError::Rel(RelError::ColumnOutOfRange {
                 col: 9,
                 arity: 2
@@ -803,7 +668,7 @@ mod tests {
         );
         // Set-op arity mismatch.
         let q = Query::union(Query::Input, Query::Lit(instance![[1]]));
-        assert!(run_instance(&i, &q, &cfg).is_err());
+        assert!(run(&i, &q, &cfg).is_err());
     }
 
     #[test]
@@ -814,10 +679,7 @@ mod tests {
         let probe_rows = 100_000usize;
         let r = Instance::from_rows(2, (0..build_rows as i64).map(|k| [k, k])).unwrap();
         let i = Instance::from_rows(2, (0..probe_rows as i64).map(|j| [j, j % 3])).unwrap();
-        let rels: BTreeMap<String, Instance> =
-            [("R".to_string(), r.clone()), ("S".to_string(), i.clone())]
-                .into_iter()
-                .collect();
+        let cat: Catalog<Instance> = [("R", r.clone()), ("S", i.clone())].into_iter().collect();
         let q = Query::join(
             Query::select(Query::rel("R"), Pred::neq_const(1, Value::from(0i64))),
             Query::rel("S"),
@@ -870,7 +732,7 @@ mod tests {
                 to_rows_par(&filtered, &cfg);
             });
             let t_whole = med(|| {
-                run_instance_map(&rels, &q, &cfg).unwrap();
+                run_instance(Input::Catalog(&cat), &q, &RunOpts::with(cfg.clone())).unwrap();
             });
             eprintln!(
                 "threads={threads}: from_rows(S) {t_from:.1}ms build {t_build:.1}ms \
@@ -891,9 +753,10 @@ mod tests {
         .into_iter()
         .collect();
         let q = Query::intersect(Query::Input, Query::rel("R"));
-        let cfg = ExecConfig::serial();
+        let cat: Catalog<Instance> = rels.clone().into_iter().collect();
+        let opts = RunOpts::with(ExecConfig::serial());
         assert_eq!(
-            run_instance_map(&rels, &q, &cfg).unwrap(),
+            run_instance(Input::Catalog(&cat), &q, &opts).unwrap().0,
             q.eval_catalog(&rels).unwrap()
         );
     }

@@ -3,25 +3,30 @@
 //! [`Engine::prepare`] (or [`Engine::prepare_text`] for the surface
 //! syntax) runs the first three pipeline stages — parse, plan,
 //! optimize — and returns a [`Prepared`] statement holding both the
-//! naive and the optimized plan. [`Prepared::execute`] runs the
-//! optimized form against any [`Backend`]; [`Prepared::explain`] shows
-//! what the optimizer did. Multi-relation queries prepare against a
-//! named [`Schema`] ([`Engine::prepare_schema`] /
-//! [`Engine::prepare_text_schema`]) and execute against a [`Catalog`]
-//! ([`Prepared::execute_catalog`]).
+//! naive and the optimized plan. [`Prepared::explain`] shows what the
+//! optimizer did. Multi-relation queries prepare against a named
+//! [`Schema`] ([`Engine::prepare_schema`] /
+//! [`Engine::prepare_text_schema`]).
+//!
+//! Execution has one entry, [`Prepared::run`], and answer distributions
+//! one, [`Prepared::answer_dist`]; both take any [`Source`] — a single
+//! relation (bound as `V`) or a [`Catalog`] — and [`RunOpts`] (executor
+//! configuration, `EXPLAIN ANALYZE` on or off), and return the report
+//! when one was asked for. [`Prepared::execute`] and the other named
+//! methods are shorthands for common options.
 
 use std::time::Instant;
 
 use ipdb_prob::{PcTable, Weight};
-use ipdb_rel::{Instance, Query, Schema, Tuple};
+use ipdb_rel::{Query, Schema, Tuple};
 
-use crate::backend::{Backend, Catalog};
+use crate::backend::{Backend, Catalog, Input, RunOpts, Source};
 use crate::error::EngineError;
 use crate::morsel::ExecConfig;
 use crate::optimize::{optimize_plan_stats, OptimizeStats};
 use crate::parser;
 use crate::plan::Plan;
-use crate::report::{OpReport, QueryReport};
+use crate::report::{elapsed_ns, QueryReport};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -174,89 +179,103 @@ impl Prepared {
         out
     }
 
-    /// Executes the optimized plan against a backend.
-    pub fn execute<B: Backend>(&self, input: &B) -> Result<B::Output, EngineError> {
-        self.check_arity(input)?;
-        input.run(&self.optimized_query)
-    }
-
-    /// Executes the *unoptimized* plan (the baseline `bench_engine`
-    /// compares against).
-    pub fn execute_naive<B: Backend>(&self, input: &B) -> Result<B::Output, EngineError> {
-        self.check_arity(input)?;
-        input.run(&self.naive_query)
-    }
-
-    /// Executes the optimized plan on the [`Instance`] backend with an
-    /// explicit [`ExecConfig`] instead of [`ExecConfig::from_env`] —
-    /// how benchmarks and determinism oracles pin thread count and
-    /// morsel size without touching the process environment.
-    pub fn execute_with(
-        &self,
-        input: &Instance,
-        cfg: &ExecConfig,
-    ) -> Result<Instance, EngineError> {
-        self.check_arity(input)?;
-        crate::morsel::run_instance(input, &self.optimized_query, cfg)
-    }
-
-    /// Executes the optimized plan against a named catalog. The catalog
-    /// must supply every relation the prepared schema declares, at the
-    /// declared arity ([`EngineError::MissingRelation`] /
+    /// Executes the optimized plan against a source under `opts`:
+    /// the output, plus a [`QueryReport`] when `opts.analyze` is set —
+    /// per-operator cardinalities, selectivity, inclusive/exclusive
+    /// timings, the hash join's build side, and (on the c-/pc-table
+    /// backends) rows pruned by condition simplification. The output is
+    /// identical either way.
+    ///
+    /// A single relation must match the prepared `V` arity
+    /// ([`EngineError::InputArityMismatch`]); a catalog must supply
+    /// every relation the prepared schema declares, at the declared
+    /// arity ([`EngineError::MissingRelation`] /
     /// [`EngineError::RelationArity`] otherwise).
-    pub fn execute_catalog<B: Backend>(&self, cat: &Catalog<B>) -> Result<B::Output, EngineError> {
-        self.check_catalog(cat)?;
-        B::run_catalog(cat, &self.optimized_query)
-    }
-
-    /// [`Prepared::execute_catalog`] on the [`Instance`] backend with
-    /// an explicit [`ExecConfig`] (see [`Prepared::execute_with`]).
-    pub fn execute_catalog_with(
+    pub fn run<'a, S: Source<'a>>(
         &self,
-        cat: &Catalog<Instance>,
-        cfg: &ExecConfig,
-    ) -> Result<Instance, EngineError> {
-        self.check_catalog(cat)?;
-        crate::morsel::run_instance_map(cat.rels(), &self.optimized_query, cfg)
+        input: S,
+        opts: &RunOpts,
+    ) -> Result<(<S::Backend as Backend>::Output, Option<QueryReport>), EngineError> {
+        let input = input.input();
+        self.check(input)?;
+        let t0 = opts.analyze.then(Instant::now);
+        let (out, root) = S::Backend::run(input, &self.optimized_query, opts)?;
+        let report = root.zip(t0).map(|(root, t0)| QueryReport {
+            backend: S::Backend::NAME,
+            root,
+            total_ns: elapsed_ns(t0),
+            optimize: self.optimize_stats,
+            bdd: None,
+        });
+        Ok((out, report))
     }
 
-    /// [`Prepared::execute_catalog`] with an explicit [`ExecConfig`] on
-    /// *any* backend. Backends without a parallel executor ignore the
-    /// config; the [`Instance`] backend routes it into the morsel
-    /// executor (see [`Backend::run_catalog_with`]). This is the
-    /// serving layer's execution path: a server worker runs each
-    /// request with its configured parallelism instead of spawning a
-    /// default-sized pool per query.
+    /// [`Prepared::run`] with default options: untraced, executor
+    /// configured by [`ExecConfig::from_env`].
+    pub fn execute<'a, S: Source<'a>>(
+        &self,
+        input: S,
+    ) -> Result<<S::Backend as Backend>::Output, EngineError> {
+        Ok(self.run(input, &RunOpts::default())?.0)
+    }
+
+    /// Executes the *unoptimized* plan — the differential baseline for
+    /// [`Prepared::execute`] (and what `bench_engine` compares against).
+    pub fn execute_naive<'a, S: Source<'a>>(
+        &self,
+        input: S,
+    ) -> Result<<S::Backend as Backend>::Output, EngineError> {
+        let input = input.input();
+        self.check(input)?;
+        Ok(S::Backend::run(input, &self.naive_query, &RunOpts::default())?.0)
+    }
+
+    /// Untraced execution against a catalog under `cfg` (how a server
+    /// worker runs a request).
     pub fn execute_catalog_cfg<B: Backend>(
         &self,
         cat: &Catalog<B>,
         cfg: &ExecConfig,
     ) -> Result<B::Output, EngineError> {
-        self.check_catalog(cat)?;
-        B::run_catalog_with(cat, &self.optimized_query, cfg)
+        Ok(self.run(cat, &RunOpts::with(cfg.clone()))?.0)
     }
 
-    /// Executes the *unoptimized* plan against a named catalog (the
-    /// differential baseline for [`Prepared::execute_catalog`]).
-    pub fn execute_catalog_naive<B: Backend>(
-        &self,
-        cat: &Catalog<B>,
-    ) -> Result<B::Output, EngineError> {
-        self.check_catalog(cat)?;
-        B::run_catalog(cat, &self.naive_query)
-    }
-
-    /// The full answer distribution over a pc-table backend — every
-    /// possible answer tuple with its exact probability — via the **BDD
-    /// fast path**: the optimized plan runs through the pruning c-table
-    /// executor (Thm 9 closure), then every answer tuple's presence
-    /// condition is compiled under the finite-domain one-hot encoding
-    /// and weighted-model-counted with one shared `BddManager`
+    /// The full answer distribution over pc-tables — every possible
+    /// answer tuple with its exact probability — via the **BDD fast
+    /// path**: the optimized plan runs through the pruning c-table
+    /// executor (Thm 9 closure; a catalog's relations share one
+    /// variable namespace), then every answer tuple's presence condition
+    /// is compiled under the finite-domain one-hot encoding and
+    /// weighted-model-counted with one shared `BddManager`
     /// ([`PcTable::marginals_bdd`]). No walk over the §8 valuation
     /// product space.
-    pub fn answer_dist<W: Weight>(&self, pc: &PcTable<W>) -> Result<Vec<(Tuple, W)>, EngineError> {
-        self.check_arity(pc)?;
-        Ok(pc.run(&self.optimized_query)?.marginals_bdd()?)
+    ///
+    /// With `opts.analyze`, the report's operator tree covers the
+    /// c-table execution, its [`QueryReport::bdd`] carries the manager's
+    /// counters from the WMC phase, and its total includes that phase.
+    #[allow(clippy::type_complexity)]
+    pub fn answer_dist<'a, W: Weight, S: Source<'a, Backend = PcTable<W>>>(
+        &self,
+        input: S,
+        opts: &RunOpts,
+    ) -> Result<(Vec<(Tuple, W)>, Option<QueryReport>), EngineError> {
+        let (answer, report) = self.run(input, opts)?;
+        let Some(mut report) = report else {
+            return Ok((answer.marginals_bdd()?, None));
+        };
+        let t0 = Instant::now();
+        let (dist, bdd) = answer.marginals_bdd_traced()?;
+        report.total_ns = report.total_ns.saturating_add(elapsed_ns(t0));
+        report.bdd = Some(bdd);
+        Ok((dist, Some(report)))
+    }
+
+    /// Untraced [`Prepared::answer_dist`] over a pc-table catalog.
+    pub fn answer_dist_catalog<W: Weight>(
+        &self,
+        cat: &Catalog<PcTable<W>>,
+    ) -> Result<Vec<(Tuple, W)>, EngineError> {
+        Ok(self.answer_dist(cat, &RunOpts::default())?.0)
     }
 
     /// The same answer distribution by full valuation enumeration over
@@ -264,40 +283,11 @@ impl Prepared {
     /// variables. Kept reachable as the differential oracle for
     /// [`Prepared::answer_dist`] (see `tests/prob_oracle.rs` and the
     /// `bench_smoke` pc-table series).
-    pub fn answer_dist_enum<W: Weight>(
+    pub fn answer_dist_enum<'a, W: Weight, S: Source<'a, Backend = PcTable<W>>>(
         &self,
-        pc: &PcTable<W>,
+        input: S,
     ) -> Result<Vec<(Tuple, W)>, EngineError> {
-        self.check_arity(pc)?;
-        Ok(pc.run(&self.naive_query)?.mod_space()?.marginals())
-    }
-
-    /// The full answer distribution over a pc-table **catalog**: the
-    /// optimized plan runs through the pruning executor across all
-    /// pc-relations (one shared variable namespace — see
-    /// [`Backend::run_catalog`] for [`PcTable`]), then the answer's
-    /// presence conditions are compiled and counted with **one**
-    /// `BddManager` shared across all answer tuples
-    /// ([`PcTable::marginals_bdd`]).
-    pub fn answer_dist_catalog<W: Weight>(
-        &self,
-        cat: &Catalog<PcTable<W>>,
-    ) -> Result<Vec<(Tuple, W)>, EngineError> {
-        self.check_catalog(cat)?;
-        Ok(PcTable::run_catalog(cat, &self.optimized_query)?.marginals_bdd()?)
-    }
-
-    /// The same catalog answer distribution by full valuation
-    /// enumeration over the naive plan — the differential oracle for
-    /// [`Prepared::answer_dist_catalog`].
-    pub fn answer_dist_catalog_enum<W: Weight>(
-        &self,
-        cat: &Catalog<PcTable<W>>,
-    ) -> Result<Vec<(Tuple, W)>, EngineError> {
-        self.check_catalog(cat)?;
-        Ok(PcTable::run_catalog(cat, &self.naive_query)?
-            .mod_space()?
-            .marginals())
+        Ok(self.execute_naive(input)?.mod_space()?.marginals())
     }
 
     /// What the optimizer's fixpoint loop did when this statement was
@@ -307,143 +297,36 @@ impl Prepared {
         self.optimize_stats
     }
 
-    /// Wraps an executed operator tree into a [`QueryReport`] with this
-    /// statement's context.
-    fn report<B: Backend>(&self, root: OpReport, started: Instant) -> QueryReport {
-        QueryReport {
-            backend: B::NAME,
-            root,
-            total_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            optimize: self.optimize_stats,
-            bdd: None,
-        }
-    }
-
-    /// [`Prepared::execute`] with **`EXPLAIN ANALYZE` instrumentation**:
-    /// the identical output, plus a [`QueryReport`] recording what every
-    /// operator of the optimized plan did — cardinalities, selectivity,
-    /// inclusive/exclusive timings, the hash join's build side, and (on
-    /// the c-/pc-table backends) rows pruned by condition
-    /// simplification.
-    pub fn execute_analyzed<B: Backend>(
-        &self,
-        input: &B,
-    ) -> Result<(B::Output, QueryReport), EngineError> {
-        self.check_arity(input)?;
-        let t0 = Instant::now();
-        let (out, root) = input.run_analyzed(&self.optimized_query)?;
-        Ok((out, self.report::<B>(root, t0)))
-    }
-
-    /// [`Prepared::execute_analyzed`] on the [`Instance`] backend with
-    /// an explicit [`ExecConfig`] (see [`Prepared::execute_with`]).
-    pub fn execute_analyzed_with(
-        &self,
-        input: &Instance,
-        cfg: &ExecConfig,
-    ) -> Result<(Instance, QueryReport), EngineError> {
-        self.check_arity(input)?;
-        let t0 = Instant::now();
-        let (out, root) = crate::morsel::run_instance_traced(input, &self.optimized_query, cfg)?;
-        Ok((out, self.report::<Instance>(root, t0)))
-    }
-
-    /// [`Prepared::execute_catalog`] with `EXPLAIN ANALYZE`
-    /// instrumentation (see [`Prepared::execute_analyzed`]).
-    pub fn execute_catalog_analyzed<B: Backend>(
-        &self,
-        cat: &Catalog<B>,
-    ) -> Result<(B::Output, QueryReport), EngineError> {
-        self.check_catalog(cat)?;
-        let t0 = Instant::now();
-        let (out, root) = B::run_catalog_analyzed(cat, &self.optimized_query)?;
-        Ok((out, self.report::<B>(root, t0)))
-    }
-
-    /// [`Prepared::execute_catalog_analyzed`] on the [`Instance`]
-    /// backend with an explicit [`ExecConfig`].
-    pub fn execute_catalog_analyzed_with(
-        &self,
-        cat: &Catalog<Instance>,
-        cfg: &ExecConfig,
-    ) -> Result<(Instance, QueryReport), EngineError> {
-        self.check_catalog(cat)?;
-        let t0 = Instant::now();
-        let (out, root) =
-            crate::morsel::run_instance_map_traced(cat.rels(), &self.optimized_query, cfg)?;
-        Ok((out, self.report::<Instance>(root, t0)))
-    }
-
-    /// [`Prepared::answer_dist`] with `EXPLAIN ANALYZE` instrumentation:
-    /// the identical distribution, plus a [`QueryReport`] whose operator
-    /// tree covers the pruning c-table execution and whose
-    /// [`QueryReport::bdd`] reports the shared `BddManager`'s counters
-    /// from the WMC phase (node allocations, unique-table and
-    /// apply-cache hit rates, WMC call count).
-    pub fn answer_dist_analyzed<W: Weight>(
-        &self,
-        pc: &PcTable<W>,
-    ) -> Result<(Vec<(Tuple, W)>, QueryReport), EngineError> {
-        self.check_arity(pc)?;
-        let t0 = Instant::now();
-        let (answer, root) = pc.run_analyzed(&self.optimized_query)?;
-        let (dist, bdd) = answer.marginals_bdd_traced()?;
-        let mut report = self.report::<PcTable<W>>(root, t0);
-        report.bdd = Some(bdd);
-        Ok((dist, report))
-    }
-
-    /// [`Prepared::answer_dist_catalog`] with `EXPLAIN ANALYZE`
-    /// instrumentation (see [`Prepared::answer_dist_analyzed`]).
-    pub fn answer_dist_catalog_analyzed<W: Weight>(
-        &self,
-        cat: &Catalog<PcTable<W>>,
-    ) -> Result<(Vec<(Tuple, W)>, QueryReport), EngineError> {
-        self.check_catalog(cat)?;
-        let t0 = Instant::now();
-        let (answer, root) = PcTable::run_catalog_analyzed(cat, &self.optimized_query)?;
-        let (dist, bdd) = answer.marginals_bdd_traced()?;
-        let mut report = self.report::<PcTable<W>>(root, t0);
-        report.bdd = Some(bdd);
-        Ok((dist, report))
-    }
-
     /// Executes against `input` and renders the annotated operator tree
     /// — `EXPLAIN ANALYZE` for humans (the output itself is discarded;
-    /// use [`Prepared::execute_analyzed`] to keep both).
-    pub fn explain_analyze<B: Backend>(&self, input: &B) -> Result<String, EngineError> {
-        let (_, report) = self.execute_analyzed(input)?;
-        Ok(report.render())
+    /// use [`Prepared::run`] with [`RunOpts::analyzed`] to keep both).
+    pub fn explain_analyze<'a, S: Source<'a>>(&self, input: S) -> Result<String, EngineError> {
+        let (_, report) = self.run(input, &RunOpts::analyzed())?;
+        Ok(report.map(|r| r.render()).unwrap_or_default())
     }
 
-    /// [`Prepared::explain_analyze`] against a named catalog.
-    pub fn explain_analyze_catalog<B: Backend>(
-        &self,
-        cat: &Catalog<B>,
-    ) -> Result<String, EngineError> {
-        let (_, report) = self.execute_catalog_analyzed(cat)?;
-        Ok(report.render())
-    }
-
-    fn check_arity<B: Backend>(&self, input: &B) -> Result<(), EngineError> {
-        let expected = match self.schema.arity_of(Schema::INPUT) {
-            Some(a) => a,
-            // Prepared over a purely named schema: a bare input has no
-            // name to bind to — same error a `V` leaf would report.
-            None => {
-                return Err(EngineError::Rel(ipdb_rel::RelError::UnknownRelation {
-                    name: Schema::INPUT.to_string(),
-                }))
+    /// Checks an input against the prepared schema before execution.
+    fn check<B: Backend>(&self, input: Input<'_, B>) -> Result<(), EngineError> {
+        let cat = match input {
+            Input::Catalog(cat) => cat,
+            Input::Single(rel) => {
+                return match self.schema.arity_of(Schema::INPUT) {
+                    // Prepared over a purely named schema: a bare input
+                    // has no name to bind to — same error a `V` leaf
+                    // would report.
+                    None => Err(EngineError::Rel(ipdb_rel::RelError::UnknownRelation {
+                        name: Schema::INPUT.to_string(),
+                    })),
+                    Some(expected) if rel.input_arity() != expected => {
+                        Err(EngineError::InputArityMismatch {
+                            expected,
+                            got: rel.input_arity(),
+                        })
+                    }
+                    Some(_) => Ok(()),
+                };
             }
         };
-        let got = input.input_arity();
-        if got != expected {
-            return Err(EngineError::InputArityMismatch { expected, got });
-        }
-        Ok(())
-    }
-
-    fn check_catalog<B: Backend>(&self, cat: &Catalog<B>) -> Result<(), EngineError> {
         for (name, expected) in self.schema.iter() {
             match cat.get(name) {
                 None => {
@@ -578,9 +461,9 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let out = stmt.execute_catalog(&cat).unwrap();
+        let out = stmt.execute(&cat).unwrap();
         assert_eq!(out, instance![[1, 2, 1, 9]]);
-        assert_eq!(out, stmt.execute_catalog_naive(&cat).unwrap());
+        assert_eq!(out, stmt.execute_naive(&cat).unwrap());
 
         // Round-trip of the named surface text.
         let text = parser::render(stmt.naive_query());
@@ -589,14 +472,14 @@ mod tests {
         // Catalog checks: missing relation, wrong arity.
         let missing: Catalog<Instance> = [("R", instance![[1, 2]])].into_iter().collect();
         assert_eq!(
-            stmt.execute_catalog(&missing),
+            stmt.execute(&missing),
             Err(EngineError::MissingRelation { name: "S".into() })
         );
         let narrow: Catalog<Instance> = [("R", instance![[1, 2]]), ("S", instance![[9]])]
             .into_iter()
             .collect();
         assert_eq!(
-            stmt.execute_catalog(&narrow),
+            stmt.execute(&narrow),
             Err(EngineError::RelationArity {
                 name: "S".into(),
                 expected: 2,
@@ -614,10 +497,7 @@ mod tests {
             .unwrap();
         let i = instance![[1], [2]];
         let cat: Catalog<Instance> = [("V", i.clone())].into_iter().collect();
-        assert_eq!(
-            stmt.execute_catalog(&cat).unwrap(),
-            stmt.execute(&i).unwrap()
-        );
+        assert_eq!(stmt.execute(&cat).unwrap(), stmt.execute(&i).unwrap());
     }
 
     #[test]
@@ -674,7 +554,8 @@ mod tests {
         let pc = PcTable::new(t, [(x, dist()), (y, dist()), (z, dist())]).unwrap();
         let stmt = Engine::new().prepare_text("sigma[#0!=1](V)", 1).unwrap();
         assert_eq!(
-            stmt.answer_dist(&pc),
+            stmt.answer_dist(&pc, &RunOpts::default())
+                .map(|(dist, _)| dist),
             Err(EngineError::Prob(ProbError::Overflow))
         );
         assert_eq!(
@@ -716,7 +597,7 @@ mod tests {
             .prepare_text_schema("R intersect S", &schema)
             .unwrap();
         let bdd = stmt.answer_dist_catalog(&cat).unwrap();
-        assert_eq!(bdd, stmt.answer_dist_catalog_enum(&cat).unwrap());
+        assert_eq!(bdd, stmt.answer_dist_enum(&cat).unwrap());
         // R ∩ S holds t iff x = t ∧ y = t ∧ x ≠ y: impossible.
         assert!(bdd.is_empty());
     }
@@ -727,7 +608,8 @@ mod tests {
             .prepare_text("pi[1](sigma[and(#0=1,#1=#3)](V x V))", 2)
             .unwrap();
         let i = instance![[1, 10], [2, 10], [2, 20]];
-        let (out, report) = stmt.execute_analyzed(&i).unwrap();
+        let (out, report) = stmt.run(&i, &RunOpts::analyzed()).unwrap();
+        let report = report.expect("analyze was requested");
         assert_eq!(out, stmt.execute(&i).unwrap());
         assert_eq!(report.backend, "instance");
         // The caller's clock wraps the operator tree's.
@@ -754,7 +636,7 @@ mod tests {
         // Arity mismatches reject before any execution, as in execute.
         let narrow = Instance::empty(1);
         assert!(matches!(
-            stmt.execute_analyzed(&narrow),
+            stmt.run(&narrow, &RunOpts::analyzed()),
             Err(EngineError::InputArityMismatch { .. })
         ));
     }
@@ -771,8 +653,9 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let expected = stmt.execute_catalog(&cat).unwrap();
-        let (out, report) = stmt.execute_catalog_analyzed(&cat).unwrap();
+        let expected = stmt.execute(&cat).unwrap();
+        let (out, report) = stmt.run(&cat, &RunOpts::analyzed()).unwrap();
+        let report = report.expect("analyze was requested");
         assert_eq!(out, expected);
         assert!(report.root.label.starts_with("join["));
         assert_eq!(report.root.build_left, Some(true));
@@ -781,11 +664,16 @@ mod tests {
             morsel_rows: 1,
             metrics: false,
         };
-        let (out2, report2) = stmt.execute_catalog_analyzed_with(&cat, &cfg).unwrap();
+        let opts = RunOpts {
+            exec: cfg,
+            analyze: true,
+        };
+        let (out2, report2) = stmt.run(&cat, &opts).unwrap();
+        let report2 = report2.expect("analyze was requested");
         assert_eq!(out2, expected);
         assert_eq!(report2.root.rows_out, report.root.rows_out);
         assert!(stmt
-            .explain_analyze_catalog(&cat)
+            .explain_analyze(&cat)
             .unwrap()
             .contains("EXPLAIN ANALYZE"));
     }
@@ -810,8 +698,9 @@ mod tests {
         let stmt = Engine::new()
             .prepare_text("sigma[#0!=1](V union {(9)})", 1)
             .unwrap();
-        let (dist, report) = stmt.answer_dist_analyzed(&pc).unwrap();
-        assert_eq!(dist, stmt.answer_dist(&pc).unwrap());
+        let (dist, report) = stmt.answer_dist(&pc, &RunOpts::analyzed()).unwrap();
+        let report = report.expect("analyze was requested");
+        assert_eq!(dist, stmt.answer_dist(&pc, &RunOpts::default()).unwrap().0);
         assert_eq!(report.backend, "pc-table");
         let bdd = report.bdd.expect("probabilistic reports carry BDD stats");
         assert!(bdd.nodes_allocated > 0);
@@ -839,7 +728,7 @@ mod tests {
         let stmt = Engine::new()
             .prepare_text("sigma[#0!=1](V union {(9)})", 1)
             .unwrap();
-        let bdd = stmt.answer_dist(&pc).unwrap();
+        let bdd = stmt.answer_dist(&pc, &RunOpts::default()).unwrap().0;
         assert_eq!(bdd, stmt.answer_dist_enum(&pc).unwrap());
         // (9) is certain via the literal; (0) and (2) carry P[x=i] = 1/3.
         assert!(bdd.contains(&(tuple![9], rat!(1))));
@@ -847,7 +736,7 @@ mod tests {
         // Arity mismatches are caught before any compilation.
         let stmt2 = Engine::new().prepare_text("V", 2).unwrap();
         assert!(matches!(
-            stmt2.answer_dist(&pc),
+            stmt2.answer_dist(&pc, &RunOpts::default()),
             Err(EngineError::InputArityMismatch { .. })
         ));
     }

@@ -13,8 +13,16 @@
 //! children evaluate and stops when its own output batch is ready, so a
 //! node's `ns` always covers its subtree and the tree-wide sum of
 //! [`OpReport::exclusive_ns`] equals the root's inclusive time exactly.
+//!
+//! Tracing is a parameter, not a second executor: each backend family
+//! has one evaluator, generic over a `Tracer` whose no-op form has `()`
+//! clock and report types, so plain execution reads no clock and
+//! allocates no [`OpReport`]. Both tracers share one per-operator hook,
+//! which also feeds pruned rows to the `prune.rows` counter of
+//! `ipdb-obs` when [`crate::ExecConfig::metrics`] is on.
 
 use std::fmt;
+use std::time::Instant;
 
 use ipdb_prob::BddStats;
 use ipdb_rel::Query;
@@ -133,8 +141,8 @@ pub struct QueryReport {
     pub total_ns: u64,
     /// What the plan optimizer did when the query was prepared.
     pub optimize: OptimizeStats,
-    /// BDD manager counters, present only on the probabilistic
-    /// (`answer_dist_analyzed`) path.
+    /// BDD manager counters, present only on analyzed
+    /// `Prepared::answer_dist` runs.
     pub bdd: Option<BddStats>,
 }
 
@@ -189,6 +197,95 @@ impl fmt::Display for QueryReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
+}
+
+/// What one executed operator did, as an evaluator hands it to
+/// [`Tracer::op`] once the operator's output is ready.
+pub(crate) struct OpStats {
+    pub(crate) arity: usize,
+    pub(crate) rows_out: u64,
+    /// Rows condition simplification removed (c-/pc-tables only).
+    pub(crate) rows_pruned: u64,
+    /// The hash join's build side (see [`OpReport::build_left`]).
+    pub(crate) build_left: Option<bool>,
+}
+
+/// Per-operator instrumentation the evaluators are generic over (see
+/// the module docs): [`NoTrace`] for plain execution, [`Analyze`] for
+/// `EXPLAIN ANALYZE`.
+pub(crate) trait Tracer {
+    /// Read when an operator starts, before its children evaluate.
+    type Clock;
+    /// One operator's report, built from its children's.
+    type Report;
+
+    fn start() -> Self::Clock;
+
+    fn report(q: &Query, t0: Self::Clock, op: OpStats, children: Vec<Self::Report>)
+        -> Self::Report;
+
+    /// The one per-operator hook: counts pruned rows into `prune.rows`
+    /// when `metrics` is on (for every tracer), then builds the report.
+    fn op(
+        metrics: bool,
+        q: &Query,
+        t0: Self::Clock,
+        op: OpStats,
+        children: Vec<Self::Report>,
+    ) -> Self::Report {
+        if metrics && op.rows_pruned > 0 {
+            ipdb_obs::add("prune.rows", op.rows_pruned);
+        }
+        Self::report(q, t0, op, children)
+    }
+}
+
+/// Plain execution: no clock, no report (a `Vec<()>` never allocates).
+pub(crate) enum NoTrace {}
+
+impl Tracer for NoTrace {
+    type Clock = ();
+    type Report = ();
+
+    fn start() {}
+
+    fn report(_: &Query, _: (), _: OpStats, _: Vec<()>) {}
+}
+
+/// `EXPLAIN ANALYZE`: one `Instant` read pair and one [`OpReport`] per
+/// operator — never per row, so it is safe on large inputs.
+pub(crate) enum Analyze {}
+
+impl Tracer for Analyze {
+    type Clock = Instant;
+    type Report = OpReport;
+
+    fn start() -> Instant {
+        Instant::now()
+    }
+
+    fn report(q: &Query, t0: Instant, op: OpStats, children: Vec<OpReport>) -> OpReport {
+        let rows_in = if children.is_empty() {
+            op.rows_out
+        } else {
+            children.iter().map(|c| c.rows_out).sum()
+        };
+        OpReport {
+            label: query_label(q),
+            arity: op.arity,
+            rows_in,
+            rows_out: op.rows_out,
+            rows_pruned: op.rows_pruned,
+            ns: elapsed_ns(t0),
+            build_left: op.build_left,
+            children,
+        }
+    }
+}
+
+/// Nanoseconds since `t0`, saturating.
+pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Human-scale duration: `ns` up to 10µs, then `µs`/`ms`/`s`.

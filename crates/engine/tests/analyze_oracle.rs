@@ -1,11 +1,11 @@
 //! The `EXPLAIN ANALYZE` differential oracle.
 //!
 //! Instrumented execution must be a **pure observer**: for random RA
-//! queries, `execute_analyzed` (and its catalog/pc-table variants)
-//! returns *exactly* the output of the uninstrumented path — on all
-//! three backends, across thread counts and morsel sizes, with metrics
-//! recording both off and on — and the [`QueryReport`] it attaches is
-//! internally consistent:
+//! queries, `Prepared::run` and `Prepared::answer_dist` with
+//! `RunOpts::analyze` set return *exactly* the output of the
+//! uninstrumented path — on all three backends, across thread counts
+//! and morsel sizes, with metrics recording both off and on — and the
+//! [`QueryReport`] they attach is internally consistent:
 //!
 //! * the operator tree mirrors the executed query node for node;
 //! * every operator's `rows_out` is exact (the root's equals the
@@ -15,17 +15,21 @@
 //!   the parent's, and summing exclusive times over the tree
 //!   reconstructs the root's inclusive time exactly.
 //!
+//! A single input and the `{V}` catalog holding it are the same input:
+//! on every backend both forms give the same output and a report of
+//! the same shape (labels, row counts, rows pruned).
+//!
 //! Run counts are deliberately modest for CI; soak with
 //! `PROPTEST_CASES=256 cargo test -p ipdb-engine --test analyze_oracle`
 //! (the vendored proptest honors the env override globally).
 
 use proptest::prelude::*;
 
-use ipdb_engine::{Engine, ExecConfig, OpReport};
+use ipdb_engine::{Catalog, Engine, ExecConfig, OpReport, QueryReport, RunOpts};
 use ipdb_logic::Var;
 use ipdb_prob::{FiniteSpace, PcTable, Rat};
 use ipdb_rel::strategies::{arb_instance, arb_query};
-use ipdb_rel::Value;
+use ipdb_rel::{Instance, Value};
 use ipdb_tables::strategies::arb_finite_ctable;
 use ipdb_tables::CTable;
 
@@ -73,12 +77,45 @@ fn check_report(root: &OpReport) -> Result<(), proptest::test_runner::TestCaseEr
     Ok(())
 }
 
+/// Node-for-node equality of two reports' shapes: everything but the
+/// clocks.
+fn check_same_shape(
+    a: &OpReport,
+    b: &OpReport,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert_eq!(&a.label, &b.label);
+    prop_assert_eq!(a.arity, b.arity);
+    prop_assert_eq!(a.rows_in, b.rows_in, "rows_in at {}", a.label);
+    prop_assert_eq!(a.rows_out, b.rows_out, "rows_out at {}", a.label);
+    prop_assert_eq!(a.rows_pruned, b.rows_pruned, "rows_pruned at {}", a.label);
+    prop_assert_eq!(a.build_left, b.build_left, "build side at {}", a.label);
+    prop_assert_eq!(a.children.len(), b.children.len());
+    for (ca, cb) in a.children.iter().zip(&b.children) {
+        check_same_shape(ca, cb)?;
+    }
+    Ok(())
+}
+
+/// The report an analyzed run returns.
+fn analyzed(report: Option<QueryReport>) -> QueryReport {
+    report.expect("RunOpts::analyze asks for a report")
+}
+
+/// Analyzed execution under `cfg`.
+fn traced(exec: &ExecConfig) -> RunOpts {
+    RunOpts {
+        exec: exec.clone(),
+        analyze: true,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Instance backend: `execute_analyzed_with` equals `execute_with`
-    /// for every sweep configuration, metrics off and on, and the
-    /// report is consistent.
+    /// Instance backend: the analyzed run equals the plain one for every
+    /// sweep configuration, metrics off and on, the report is
+    /// consistent, and the `{V}` catalog form agrees with the single
+    /// input.
     #[test]
     fn analyzed_instance_matches_plain_across_configs(
         q in arb_query(2, 2, 3, 3),
@@ -86,15 +123,17 @@ proptest! {
     ) {
         let stmt = Engine::new().prepare(&q, 2).unwrap();
         let expected = stmt.execute(&i).unwrap();
+        let cat: Catalog<Instance> = [("V", i.clone())].into_iter().collect();
         for (threads, morsel_rows) in EXEC_SWEEP {
             for metrics in [false, true] {
                 let cfg = ExecConfig { threads, morsel_rows, metrics };
                 prop_assert_eq!(
-                    stmt.execute_with(&i, &cfg).unwrap(),
+                    stmt.run(&i, &RunOpts::with(cfg.clone())).unwrap().0,
                     expected.clone(),
                     "uninstrumented run diverged at threads={} morsel={}", threads, morsel_rows
                 );
-                let (out, report) = stmt.execute_analyzed_with(&i, &cfg).unwrap();
+                let (out, report) = stmt.run(&i, &traced(&cfg)).unwrap();
+                let report = analyzed(report);
                 prop_assert_eq!(
                     out.clone(),
                     expected.clone(),
@@ -106,12 +145,16 @@ proptest! {
                 prop_assert!(report.root.ns <= report.total_ns);
                 prop_assert_eq!(report.optimize, stmt.optimize_stats());
                 check_report(&report.root)?;
+                let (cat_out, cat_report) = stmt.run(&cat, &traced(&cfg)).unwrap();
+                prop_assert_eq!(cat_out, out, "{{V}} catalog diverged on {}", q);
+                check_same_shape(&report.root, &analyzed(cat_report).root)?;
             }
         }
     }
 
     /// C-table backend: the traced pruning executor returns exactly the
-    /// untraced executor's table, and reports consistently.
+    /// untraced executor's table, reports consistently, and the `{V}`
+    /// catalog form agrees with the single input.
     #[test]
     fn analyzed_ctable_matches_plain(
         q in arb_query(2, 2, 3, 3),
@@ -119,15 +162,22 @@ proptest! {
     ) {
         let stmt = Engine::new().prepare(&q, 2).unwrap();
         let expected = stmt.execute(&t).unwrap();
-        let (out, report) = stmt.execute_analyzed(&t).unwrap();
+        let (out, report) = stmt.run(&t, &RunOpts::analyzed()).unwrap();
+        let report = analyzed(report);
         prop_assert_eq!(&out, &expected, "analyzed c-table run diverged on {}", q);
         prop_assert_eq!(report.backend, "c-table");
         prop_assert_eq!(report.root.rows_out, out.rows().len() as u64);
         check_report(&report.root)?;
+        let cat: Catalog<CTable> = [("V", t.clone())].into_iter().collect();
+        prop_assert_eq!(&stmt.execute(&cat).unwrap(), &expected);
+        let (cat_out, cat_report) = stmt.run(&cat, &RunOpts::analyzed()).unwrap();
+        prop_assert_eq!(&cat_out, &out, "{{V}} catalog diverged on {}", q);
+        check_same_shape(&report.root, &analyzed(cat_report).root)?;
     }
 
     /// Pc-table backend: the analyzed distribution equals the plain BDD
-    /// fast path's, and the attached BDD counters reflect real work.
+    /// fast path's, the attached BDD counters reflect real work, and
+    /// the `{V}` catalog form agrees with the single input.
     #[test]
     fn analyzed_answer_dist_matches_plain(
         q in arb_query(2, 2, 3, 3),
@@ -135,8 +185,9 @@ proptest! {
     ) {
         let pc = uniform_pctable(&t);
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let expected = stmt.answer_dist(&pc).unwrap();
-        let (dist, report) = stmt.answer_dist_analyzed(&pc).unwrap();
+        let expected = stmt.answer_dist(&pc, &RunOpts::default()).unwrap().0;
+        let (dist, report) = stmt.answer_dist(&pc, &RunOpts::analyzed()).unwrap();
+        let report = analyzed(report);
         prop_assert_eq!(&dist, &expected, "analyzed answer_dist diverged on {}", q);
         prop_assert_eq!(report.backend, "pc-table");
         let bdd = report.bdd.expect("probabilistic reports carry BDD stats");
@@ -144,6 +195,13 @@ proptest! {
         // are counted but dropped from the distribution.
         prop_assert!(bdd.wmc_calls >= dist.len() as u64);
         check_report(&report.root)?;
+        let cat: Catalog<PcTable<Rat>> = [("V", pc.clone())].into_iter().collect();
+        prop_assert_eq!(&stmt.answer_dist_catalog(&cat).unwrap(), &expected);
+        let (cat_dist, cat_report) = stmt.answer_dist(&cat, &RunOpts::analyzed()).unwrap();
+        prop_assert_eq!(&cat_dist, &dist, "{{V}} catalog diverged on {}", q);
+        let cat_report = analyzed(cat_report);
+        prop_assert_eq!(cat_report.bdd, report.bdd);
+        check_same_shape(&report.root, &cat_report.root)?;
     }
 }
 
@@ -157,14 +215,13 @@ proptest! {
         q in arb_query(2, 2, 3, 3),
         i in arb_instance(2, 6, 3),
     ) {
-        use ipdb_engine::Catalog;
-        use ipdb_rel::Instance;
         let stmt = Engine::new().prepare(&q, 2).unwrap();
         let cat: Catalog<Instance> = [("V", i.clone())].into_iter().collect();
-        let expected = stmt.execute_catalog(&cat).unwrap();
+        let expected = stmt.execute(&cat).unwrap();
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };
-            let (out, report) = stmt.execute_catalog_analyzed_with(&cat, &cfg).unwrap();
+            let (out, report) = stmt.run(&cat, &traced(&cfg)).unwrap();
+            let report = analyzed(report);
             prop_assert_eq!(
                 out,
                 expected.clone(),

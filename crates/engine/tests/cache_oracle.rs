@@ -74,7 +74,7 @@ proptest! {
         let engine = Engine::new();
         let fresh = engine.prepare_schema(&q, &s).unwrap();
         let cat = catalog_of(&schema, [&i0, &i1, &i2]);
-        let expected = fresh.execute_catalog(&cat).unwrap();
+        let expected = fresh.execute(&cat).unwrap();
 
         let cache = PlanCache::new(8);
         let cold = cache.prepare(&engine, &q, &s).unwrap();
@@ -85,7 +85,7 @@ proptest! {
         prop_assert_eq!(cache.misses(), 1);
         prop_assert_eq!(cache.hits(), 2);
         prop_assert_eq!(
-            cold.execute_catalog(&cat).unwrap(),
+            cold.execute(&cat).unwrap(),
             expected,
             "cached plan diverged from fresh prepare on {}", q
         );
@@ -104,9 +104,9 @@ proptest! {
         // A second query guaranteed distinct from `q` (it contains `q`
         // as a strict subterm, so the canonical texts differ).
         let other = ipdb_rel::Query::union(q.clone(), q.clone());
-        let expect_q = engine.prepare_schema(&q, &s).unwrap().execute_catalog(&cat).unwrap();
+        let expect_q = engine.prepare_schema(&q, &s).unwrap().execute(&cat).unwrap();
         let expect_other =
-            engine.prepare_schema(&other, &s).unwrap().execute_catalog(&cat).unwrap();
+            engine.prepare_schema(&other, &s).unwrap().execute(&cat).unwrap();
 
         let cache = PlanCache::new(1);
         for round in 0..3u64 {
@@ -114,8 +114,8 @@ proptest! {
             let b = cache.prepare(&engine, &other, &s).unwrap();
             prop_assert!(cache.len() <= 1, "capacity-1 cache held {} entries", cache.len());
             prop_assert_eq!(cache.misses(), 2 * (round + 1), "alternation should evict");
-            prop_assert_eq!(a.execute_catalog(&cat).unwrap(), expect_q.clone());
-            prop_assert_eq!(b.execute_catalog(&cat).unwrap(), expect_other.clone());
+            prop_assert_eq!(a.execute(&cat).unwrap(), expect_q.clone());
+            prop_assert_eq!(b.execute(&cat).unwrap(), expect_other.clone());
         }
     }
 }
@@ -133,13 +133,13 @@ proptest! {
         let s = Schema::new(schema.clone()).unwrap();
         let engine = Engine::new();
         let cat = catalog_of(&schema, [&t0, &t1, &t2]);
-        let expected = engine.prepare_schema(&q, &s).unwrap().execute_catalog(&cat).unwrap();
+        let expected = engine.prepare_schema(&q, &s).unwrap().execute(&cat).unwrap();
         let cache = PlanCache::new(4);
         cache.prepare(&engine, &q, &s).unwrap();
         let warm = cache.prepare(&engine, &q, &s).unwrap();
         prop_assert_eq!(cache.hits(), 1);
         prop_assert_eq!(
-            warm.execute_catalog(&cat).unwrap(),
+            warm.execute(&cat).unwrap(),
             expected,
             "cached c-table plan diverged on {}", q
         );
@@ -158,13 +158,13 @@ proptest! {
             .zip([&t0, &t1, &t2])
             .map(|((n, _), t)| (n.clone(), uniform_pctable(t)))
             .collect();
-        let expected = engine.prepare_schema(&q, &s).unwrap().execute_catalog(&cat).unwrap();
+        let expected = engine.prepare_schema(&q, &s).unwrap().execute(&cat).unwrap();
         let cache = PlanCache::new(4);
         cache.prepare(&engine, &q, &s).unwrap();
         let warm = cache.prepare(&engine, &q, &s).unwrap();
         prop_assert_eq!(cache.hits(), 1);
         prop_assert_eq!(
-            warm.execute_catalog(&cat).unwrap(),
+            warm.execute(&cat).unwrap(),
             expected,
             "cached pc-table plan diverged on {}", q
         );
@@ -195,14 +195,8 @@ fn same_text_under_different_schemas_never_collides() {
     assert!(!Arc::ptr_eq(&all_wide, &all_narrow));
     let cat_wide: Catalog<_> = [("R", instance![[1, 2]])].into_iter().collect();
     let cat_narrow: Catalog<_> = [("R", instance![[7]])].into_iter().collect();
-    assert_eq!(
-        all_wide.execute_catalog(&cat_wide).unwrap(),
-        instance![[1, 2]]
-    );
-    assert_eq!(
-        all_narrow.execute_catalog(&cat_narrow).unwrap(),
-        instance![[7]]
-    );
+    assert_eq!(all_wide.execute(&cat_wide).unwrap(), instance![[1, 2]]);
+    assert_eq!(all_narrow.execute(&cat_narrow).unwrap(), instance![[7]]);
     // Three distinct entries live in the cache: pi[1](R)@wide, R@wide,
     // R@narrow.
     assert_eq!(cache.len(), 3);

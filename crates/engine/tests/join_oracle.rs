@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ipdb_engine::{Catalog, Engine, ExecConfig, Plan, PlanNode, Schema};
+use ipdb_engine::{Catalog, Engine, ExecConfig, Plan, PlanNode, RunOpts, Schema};
 use ipdb_logic::{Valuation, Var};
 use ipdb_prob::{FiniteSpace, PcTable, Rat};
 use ipdb_rel::strategies::{
@@ -240,12 +240,12 @@ proptest! {
             .collect();
         let direct = q.eval_catalog(&map).unwrap();
         prop_assert_eq!(
-            stmt.execute_catalog(&cat).unwrap(),
+            stmt.execute(&cat).unwrap(),
             direct.clone(),
             "optimized catalog plan diverged on {}", q
         );
         prop_assert_eq!(
-            stmt.execute_catalog_naive(&cat).unwrap(),
+            stmt.execute_naive(&cat).unwrap(),
             direct,
             "naive catalog plan diverged on {}", q
         );
@@ -265,8 +265,8 @@ proptest! {
         let s = Schema::new(schema.clone()).unwrap();
         let stmt = Engine::new().prepare_schema(&q, &s).unwrap();
         let cat = catalog_of(&schema, [&t0, &t1, &t2]);
-        let optimized = stmt.execute_catalog(&cat).unwrap();
-        let naive = stmt.execute_catalog_naive(&cat).unwrap();
+        let optimized = stmt.execute(&cat).unwrap();
+        let naive = stmt.execute_naive(&cat).unwrap();
         let mut domains: BTreeMap<Var, Domain> = BTreeMap::new();
         for (_, t) in cat.iter() {
             domains.extend(t.domains().clone());
@@ -331,12 +331,12 @@ proptest! {
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };
             prop_assert_eq!(
-                naive.execute_with(&i, &cfg).unwrap(),
+                naive.run(&i, &RunOpts::with(cfg.clone())).unwrap().0,
                 expected.clone(),
                 "naive plan diverged at threads={} morsel={} on {}", threads, morsel_rows, q
             );
             prop_assert_eq!(
-                opt.execute_with(&i, &cfg).unwrap(),
+                opt.run(&i, &RunOpts::with(cfg.clone())).unwrap().0,
                 expected.clone(),
                 "optimized plan diverged at threads={} morsel={} on {}", threads, morsel_rows, q
             );
@@ -356,7 +356,7 @@ proptest! {
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };
             prop_assert_eq!(
-                stmt.execute_with(&i, &cfg).unwrap(),
+                stmt.run(&i, &RunOpts::with(cfg.clone())).unwrap().0,
                 expected.clone(),
                 "join {} diverged at threads={} morsel={}", join, threads, morsel_rows
             );
@@ -385,7 +385,7 @@ proptest! {
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };
             prop_assert_eq!(
-                stmt.execute_catalog_with(&cat, &cfg).unwrap(),
+                stmt.execute_catalog_cfg(&cat, &cfg).unwrap(),
                 expected.clone(),
                 "catalog query {} diverged at threads={} morsel={}", q, threads, morsel_rows
             );

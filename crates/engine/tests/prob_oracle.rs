@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 
-use ipdb_engine::{Catalog, Engine, Schema};
+use ipdb_engine::{Catalog, Engine, RunOpts, Schema};
 use ipdb_prob::{FiniteSpace, PcTable, Rat};
 use ipdb_rel::strategies::{arb_catalog_case, arb_query};
 use ipdb_rel::{Query, Tuple, Value};
@@ -58,7 +58,7 @@ proptest! {
     ) {
         let pc = skewed_pctable(&t);
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let bdd = stmt.answer_dist(&pc).unwrap();
+        let bdd = stmt.answer_dist(&pc, &RunOpts::default()).unwrap().0;
         let brute = stmt.answer_dist_enum(&pc).unwrap();
         prop_assert_eq!(bdd, brute, "query {}", q);
     }
@@ -110,8 +110,8 @@ proptest! {
         let on = Engine::new().prepare(&q, 2).unwrap();
         let off = Engine { optimize: false }.prepare(&q, 2).unwrap();
         prop_assert_eq!(
-            on.answer_dist(&pc).unwrap(),
-            off.answer_dist(&pc).unwrap(),
+            on.answer_dist(&pc, &RunOpts::default()).unwrap().0,
+            off.answer_dist(&pc, &RunOpts::default()).unwrap().0,
             "query {}", q
         );
     }
@@ -143,7 +143,7 @@ proptest! {
         let bdd = on.answer_dist_catalog(&cat).unwrap();
         prop_assert_eq!(
             bdd.clone(),
-            on.answer_dist_catalog_enum(&cat).unwrap(),
+            on.answer_dist_enum(&cat).unwrap(),
             "BDD vs enumeration on catalog query {}", q
         );
         prop_assert_eq!(

@@ -115,7 +115,7 @@ proptest! {
                         }
                         last_version = snap.version();
                         let ans = stmt
-                            .execute_catalog(snap.catalog())
+                            .execute(snap.catalog())
                             .map_err(|e| e.to_string())?;
                         let rows: Vec<_> = ans.iter().collect();
                         // Exactly one (k, k) row — a torn R/S pair

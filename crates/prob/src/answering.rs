@@ -10,13 +10,12 @@
 //! 2. [`tuple_prob_shannon`] — Shannon expansion of the tuple's presence
 //!    condition with memoization on residual conditions (touches only
 //!    the variables the condition mentions);
-//! 3. [`tuple_prob_bdd`] — for *boolean* pc-tables, compile the presence
-//!    condition to a ROBDD and run weighted model counting;
-//! 4. [`PcTable::tuple_prob_bdd`] / [`PcTable::answer_dist_bdd`] — the
-//!    general finite-domain BDD path: every multi-valued variable is
-//!    one-hot encoded (`ipdb_bdd::FdEncoding`), so arbitrary `Eq`/`Neq`
-//!    conditions compile, and the answer distribution is computed by
-//!    domain-aware WMC with one manager shared across all answer tuples.
+//! 3. [`PcTable::tuple_prob_bdd`] / [`PcTable::answer_dist_bdd`] — the
+//!    finite-domain BDD path: every variable is one-hot encoded
+//!    (`ipdb_bdd::FdEncoding`; a boolean variable is a `{false, true}`
+//!    domain), so arbitrary `Eq`/`Neq` conditions compile, and the
+//!    answer distribution is computed by domain-aware WMC with one
+//!    manager shared across all answer tuples.
 //!
 //! All engines agree exactly (property-tested with `Rat`, including the
 //! `prob_oracle` differential suite in `ipdb-engine`); the benches in
@@ -24,13 +23,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ipdb_bdd::{compile_condition, var_order, BddManager, Weight};
+use ipdb_bdd::Weight;
 use ipdb_logic::{Condition, Term, Valuation, Var};
 use ipdb_rel::{Domain, Tuple, Value};
 use ipdb_tables::{algebra, CTable};
 
 use crate::error::ProbError;
-use crate::pctable::{BooleanPcTable, PcTable};
+use crate::pctable::PcTable;
 use crate::space::FiniteSpace;
 
 /// The *presence condition* of tuple `t` in a c-table: the event
@@ -107,24 +106,6 @@ pub fn tuple_prob_shannon<W: Weight>(pc: &PcTable<W>, t: &Tuple) -> Result<W, Pr
     prob_of_condition(&cond, pc.dists())
 }
 
-/// Engine 3: `P[t ∈ I]` for boolean pc-tables via ROBDD + weighted model
-/// counting (one Boolean BDD variable per table variable — leaner than
-/// the general one-hot path when conditions are already boolean).
-pub fn tuple_prob_bdd<W: Weight>(bpc: &BooleanPcTable<W>, t: &Tuple) -> Result<W, ProbError> {
-    let cond = presence_condition(bpc.as_pctable().table(), t);
-    let order = var_order(&cond);
-    let mut mgr = BddManager::new();
-    let f = compile_condition(&mut mgr, &cond, &order)?;
-    // weights[i] = (P[x=false], P[x=true]) in BDD index order.
-    let dists = bpc.as_pctable().dists();
-    let mut weights: Vec<(W, W)> = vec![(W::one(), W::zero()); order.len()];
-    for (v, idx) in &order {
-        let d = &dists[v];
-        weights[*idx as usize] = (d.prob(&Value::Bool(false)), d.prob(&Value::Bool(true)));
-    }
-    Ok(mgr.wmc(f, &weights)?)
-}
-
 /// The candidate answer tuples of a pc-table: every row's tuple grounded
 /// over the domains (distribution supports) of its own tuple variables,
 /// deduplicated in canonical order. Cheaper than materializing `Mod`,
@@ -176,6 +157,7 @@ pub fn answer_marginals<W: Weight>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pctable::BooleanPcTable;
     use crate::rat;
     use crate::rat::Rat;
     use crate::space::FiniteSpace;
@@ -240,18 +222,21 @@ mod tests {
         for t in [tuple![1], tuple![2], tuple![3]] {
             let e = tuple_prob_enum(bpc.as_pctable(), &t).unwrap();
             let s = tuple_prob_shannon(bpc.as_pctable(), &t).unwrap();
-            let d = tuple_prob_bdd(&bpc, &t).unwrap();
+            let d = bpc.as_pctable().tuple_prob_bdd(&t).unwrap();
             assert_eq!(e, s, "tuple {t}");
             assert_eq!(e, d, "tuple {t}");
         }
         // P[(1)] = 1 - 1/2·3/4 = 5/8.
-        assert_eq!(tuple_prob_bdd(&bpc, &tuple![1]).unwrap(), rat!(5, 8));
+        assert_eq!(
+            bpc.as_pctable().tuple_prob_bdd(&tuple![1]).unwrap(),
+            rat!(5, 8)
+        );
     }
 
     #[test]
     fn fd_bdd_engine_agrees_on_general_tables() {
-        // small_pc has non-boolean atoms (x = 1, x = y), which the
-        // boolean compiler rejects; the finite-domain path handles them.
+        // small_pc has non-boolean atoms (x = 1, x = y); the one-hot
+        // encoding handles them like boolean ones.
         let pc = small_pc();
         for t in [tuple![1], tuple![2], tuple![9], tuple![7]] {
             let e = tuple_prob_enum(&pc, &t).unwrap();

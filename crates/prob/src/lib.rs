@@ -17,12 +17,12 @@
 //!   [`theorem8_table`]) and closed under RA (Thm 9, see
 //!   [`PcTable::eval_query`]);
 //! * [`answering`] — the engines for `P[t ∈ q-answer]`: valuation
-//!   enumeration, Shannon expansion of the event expression, boolean
-//!   BDD weighted model counting, and the finite-domain BDD fast path
-//!   ([`PcTable::tuple_prob_bdd`] / [`PcTable::answer_dist_bdd`]) that
-//!   one-hot-encodes multi-valued variables and counts presence
-//!   conditions with one shared manager instead of walking the §8
-//!   valuation product space;
+//!   enumeration, Shannon expansion of the event expression, and the
+//!   finite-domain BDD fast path ([`PcTable::tuple_prob_bdd`] /
+//!   [`PcTable::answer_dist_bdd`]) that one-hot-encodes every variable
+//!   (boolean ones over `{false, true}`) and counts presence conditions
+//!   with one shared manager instead of walking the §8 valuation
+//!   product space;
 //! * [`extensional`] — the §8 reading of Dalvi–Suciu \[9\]: hierarchical
 //!   safety test, safe-plan evaluation, lineage-based exact evaluation,
 //!   and the unsound forced-extensional plan for contrast.

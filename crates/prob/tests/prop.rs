@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use ipdb_logic::{Var, VarGen};
-use ipdb_prob::answering::{tuple_prob_bdd, tuple_prob_enum, tuple_prob_shannon};
+use ipdb_prob::answering::{tuple_prob_enum, tuple_prob_shannon};
 use ipdb_prob::{rat, theorem8_table, BooleanPcTable, FiniteSpace, PDatabase, PcTable, Rat};
 use ipdb_rel::strategies::{arb_instance, arb_query};
 use ipdb_rel::{Tuple, Value};
@@ -81,7 +81,7 @@ proptest! {
         let t = Tuple::new([probe]);
         let e = tuple_prob_enum(bpc.as_pctable(), &t).unwrap();
         let s = tuple_prob_shannon(bpc.as_pctable(), &t).unwrap();
-        let b = tuple_prob_bdd(&bpc, &t).unwrap();
+        let b = bpc.as_pctable().tuple_prob_bdd(&t).unwrap();
         prop_assert_eq!(e, s);
         prop_assert_eq!(s, b);
     }

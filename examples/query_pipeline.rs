@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --example query_pipeline`.
 
-use ipdb::engine::{parser, Engine, Server, ServerConfig};
+use ipdb::engine::{parser, Engine, RunOpts, Server, ServerConfig};
 use ipdb::prelude::*;
 use ipdb::prob::{rat, FiniteSpace};
 
@@ -136,29 +136,30 @@ fn main() {
     ]
     .into_iter()
     .collect();
-    let passed_what_they_take = joined
-        .execute_catalog(&cat)
-        .expect("schema matches catalog");
+    let passed_what_they_take = joined.execute(&cat).expect("schema matches catalog");
     println!("Takes ⋈ Passed = {passed_what_they_take}");
     assert_eq!(passed_what_they_take, instance![["Alice", "math"]]);
     println!("named-relation catalog execution ✓");
 
     // ------------------------------------------------------------------
-    // Observability: every execution path has an `_analyzed` twin that
-    // additionally returns a `QueryReport` — the executed operator tree
-    // annotated with exact row counts, selectivities, and wall-clock
-    // timings, plus BDD-manager counters on the probabilistic path.
-    // (`IPDB_METRICS=1` further streams engine-wide counters into the
-    // global `ipdb::obs` registry; the reports below need no flag.)
+    // Observability: `RunOpts::analyzed()` makes the same execution
+    // entry point also return a `QueryReport` — the executed operator
+    // tree annotated with exact row counts, selectivities, and
+    // wall-clock timings, plus BDD-manager counters on the
+    // probabilistic path. (`IPDB_METRICS=1` further streams engine-wide
+    // counters into the global `ipdb::obs` registry; the reports below
+    // need no flag.)
     // ------------------------------------------------------------------
     let (analyzed, report) = joined
-        .execute_catalog_analyzed(&cat)
+        .run(&cat, &RunOpts::analyzed())
         .expect("schema matches catalog");
     assert_eq!(analyzed, passed_what_they_take);
+    let report = report.expect("analyze was requested");
     println!("\n{}", report.render());
     let (dist, prob_report) = stmt2
-        .answer_dist_analyzed(&pc)
+        .answer_dist(&pc, &RunOpts::analyzed())
         .expect("finite distributions");
+    let prob_report = prob_report.expect("analyze was requested");
     assert!(dist
         .iter()
         .any(|(t, p)| t == &tuple!["Bob"] && *p == rat!(7, 10)));
